@@ -23,11 +23,13 @@
 
 #include "bench/campus_common.hpp"
 #include "core/handshake.hpp"
+#include "crypto/kernels.hpp"
 #include "ml/compiled_forest.hpp"
 #include "ml/quantized_forest.hpp"
 #include "obs/timer.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/sharded_pipeline.hpp"
+#include "util/cpu_features.hpp"
 
 // ---- counting allocator -------------------------------------------------
 // Global operator new/delete override for this binary only: counts heap
@@ -789,6 +791,88 @@ void BM_QuicInitialUnprotect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuicInitialUnprotect)->Unit(benchmark::kMicrosecond);
+
+// The crypto of the same Initial, calling one kernel set directly (arg 0:
+// portable; arg 1: AES-NI, PCLMULQDQ and SHA-NI) with the work counts of
+// unprotect_client_initial: 14 SHA-256 compressions for the key schedule,
+// two AES key expansions, the GHASH subkey, header-protection and tag-mask
+// blocks plus one CTR block per 16 payload bytes, and GHASH over header,
+// ciphertext and lengths.
+void BM_QuicInitialCryptoKernels(benchmark::State& state) {
+  namespace kn = crypto::kernels;
+  using AesKernel = void (*)(const kn::AesRoundKeys&, kn::Block&);
+  using ShaKernel = void (*)(std::array<std::uint32_t, 8>&, const std::uint8_t*,
+                             std::size_t);
+  const bool x86 = state.range(0) == 1;
+  AesKernel aes = kn::aes128_encrypt_portable;
+  ShaKernel sha = kn::sha256_compress_portable;
+  if (x86) {
+#if VPSCOPE_CRYPTO_X86
+    const CpuFeatures& cpu = cpu_features();
+    if (!cpu.aes || !cpu.pclmul || !cpu.ssse3 || !cpu.sha || !cpu.sse41) {
+      state.SkipWithError("CPU lacks AES-NI, PCLMULQDQ or SHA-NI");
+      return;
+    }
+    aes = kn::aes128_encrypt_aesni;
+    sha = kn::sha256_compress_shani;
+#else
+    state.SkipWithError("no x86 kernels in this build");
+    return;
+#endif
+  }
+
+  Rng rng(1);
+  synth::FlowSynthesizer synth(rng);
+  const auto profile = fingerprint::make_profile(
+      {Os::Windows, Agent::Chrome}, Provider::YouTube, Transport::Quic);
+  const auto flow = synth.synthesize(profile);
+  const auto decoded = net::decode(flow.packets[0]);
+  const ByteView datagram = decoded->payload;
+  const auto initial = quic::unprotect_client_initial(datagram);
+  const quic::InitialKeys keys = quic::derive_client_initial_keys(initial->dcid);
+  // Header as build_client_initial_flight lays it out: first byte, version,
+  // two length-prefixed CIDs, empty token, 2-byte Length, 4-byte PN.
+  const std::size_t header =
+      1 + 4 + 1 + initial->dcid.size() + 1 + initial->scid.size() + 1 + 2 + 4;
+  const ByteView aad = datagram.first(header);
+  const ByteView ciphertext =
+      datagram.subspan(header, datagram.size() - header - 16);
+  const kn::Block lengths{};
+  const std::array<std::uint8_t, 64> message{};
+
+  for (auto _ : state) {
+    std::array<std::uint32_t, 8> digest{};
+    for (int i = 0; i < 14; ++i) sha(digest, message.data(), 1);
+    const kn::AesRoundKeys hp = kn::aes128_expand_key(keys.hp);
+    const kn::AesRoundKeys key = kn::aes128_expand_key(keys.key);
+    kn::Block mask{};
+    aes(hp, mask);
+    kn::Block h{};
+    aes(key, h);
+    kn::Block keystream{};
+    for (std::size_t pos = 0; pos < ciphertext.size() + 16; pos += 16)
+      aes(key, keystream);
+    kn::Block y{};
+    if (x86) {
+#if VPSCOPE_CRYPTO_X86
+      for (const ByteView part : {aad, ciphertext, ByteView{lengths}})
+        kn::ghash_pclmul(h, y, part);
+#endif
+    } else {
+      const kn::GhashTable table = kn::ghash_table(h);
+      for (const ByteView part : {aad, ciphertext, ByteView{lengths}})
+        kn::ghash_portable(table, y, part);
+    }
+    benchmark::DoNotOptimize(digest);
+    benchmark::DoNotOptimize(mask);
+    benchmark::DoNotOptimize(keystream);
+    benchmark::DoNotOptimize(y);
+  }
+}
+BENCHMARK(BM_QuicInitialCryptoKernels)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_AttributeExtraction(benchmark::State& state) {
   Rng rng(2);

@@ -1,7 +1,14 @@
 #include "crypto/aes.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+
+#include "util/cpu_features.hpp"
+
+#if VPSCOPE_CRYPTO_X86
+#include <immintrin.h>
+#endif
 
 namespace vpscope::crypto {
 
@@ -40,33 +47,43 @@ inline std::uint8_t xtime(std::uint8_t x) {
 
 }  // namespace
 
-Aes128::Aes128(ByteView key) {
-  if (key.size() != kKeySize) throw std::invalid_argument("AES-128 key size");
-  std::memcpy(round_keys_.data(), key.data(), kKeySize);
-  for (int i = 4; i < 44; ++i) {
-    std::uint8_t temp[4];
-    std::memcpy(temp, round_keys_.data() + (i - 1) * 4, 4);
-    if (i % 4 == 0) {
-      // RotWord + SubWord + Rcon
-      const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / 4 - 1]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
-    }
-    for (int j = 0; j < 4; ++j)
-      round_keys_[static_cast<std::size_t>(i * 4 + j)] =
-          round_keys_[static_cast<std::size_t>((i - 4) * 4 + j)] ^ temp[j];
+namespace kernels {
+
+AesRoundKeys aes128_expand_key(ByteView key) {
+  if (key.size() != 16) throw std::invalid_argument("AES-128 key size");
+  // Words are big-endian (the first key byte on top), so RotWord is a left
+  // rotate and Rcon lands in the top byte.
+  const auto sub_word = [](std::uint32_t w) {
+    return static_cast<std::uint32_t>(kSbox[w >> 24]) << 24 |
+           static_cast<std::uint32_t>(kSbox[(w >> 16) & 0xff]) << 16 |
+           static_cast<std::uint32_t>(kSbox[(w >> 8) & 0xff]) << 8 |
+           kSbox[w & 0xff];
+  };
+  std::uint32_t w[44];
+  for (std::size_t i = 0; i < 4; ++i)
+    w[i] = static_cast<std::uint32_t>(key[4 * i]) << 24 |
+           static_cast<std::uint32_t>(key[4 * i + 1]) << 16 |
+           static_cast<std::uint32_t>(key[4 * i + 2]) << 8 | key[4 * i + 3];
+  for (std::size_t i = 4; i < 44; ++i) {
+    std::uint32_t temp = w[i - 1];
+    if (i % 4 == 0)
+      temp = sub_word(temp << 8 | temp >> 24) ^
+             static_cast<std::uint32_t>(kRcon[i / 4 - 1]) << 24;
+    w[i] = w[i - 4] ^ temp;
   }
+  AesRoundKeys rk;
+  for (std::size_t i = 0; i < 44; ++i)
+    for (std::size_t j = 0; j < 4; ++j)
+      rk[4 * i + j] = static_cast<std::uint8_t>(w[i] >> (24 - 8 * j));
+  return rk;
 }
 
-void Aes128::encrypt_block(std::uint8_t block[kBlockSize]) const {
-  auto add_round_key = [&](int round) {
-    for (int i = 0; i < 16; ++i)
-      block[i] ^= round_keys_[static_cast<std::size_t>(round * 16 + i)];
+void aes128_encrypt_portable(const AesRoundKeys& round_keys, Block& block) {
+  auto add_round_key = [&](std::size_t round) {
+    for (std::size_t i = 0; i < 16; ++i) block[i] ^= round_keys[round * 16 + i];
   };
   auto sub_bytes = [&] {
-    for (int i = 0; i < 16; ++i) block[i] = kSbox[block[i]];
+    for (auto& b : block) b = kSbox[b];
   };
   auto shift_rows = [&] {
     std::uint8_t t;
@@ -87,8 +104,8 @@ void Aes128::encrypt_block(std::uint8_t block[kBlockSize]) const {
     block[3] = t;
   };
   auto mix_columns = [&] {
-    for (int c = 0; c < 4; ++c) {
-      std::uint8_t* col = block + c * 4;
+    for (std::size_t c = 0; c < 4; ++c) {
+      std::uint8_t* col = block.data() + c * 4;
       const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
       const std::uint8_t all = a0 ^ a1 ^ a2 ^ a3;
       col[0] = static_cast<std::uint8_t>(a0 ^ all ^ xtime(static_cast<std::uint8_t>(a0 ^ a1)));
@@ -99,7 +116,7 @@ void Aes128::encrypt_block(std::uint8_t block[kBlockSize]) const {
   };
 
   add_round_key(0);
-  for (int round = 1; round <= 9; ++round) {
+  for (std::size_t round = 1; round <= 9; ++round) {
     sub_bytes();
     shift_rows();
     mix_columns();
@@ -110,139 +127,150 @@ void Aes128::encrypt_block(std::uint8_t block[kBlockSize]) const {
   add_round_key(10);
 }
 
-std::array<std::uint8_t, Aes128::kBlockSize> Aes128::encrypt_block(
-    const std::array<std::uint8_t, kBlockSize>& block) const {
-  std::array<std::uint8_t, kBlockSize> out = block;
-  encrypt_block(out.data());
-  return out;
+#if VPSCOPE_CRYPTO_X86
+// The FIPS 197 round-key bytes are already in the state layout AESENC
+// takes, so the portable key schedule feeds this kernel unchanged.
+__attribute__((target("aes,sse2"))) void aes128_encrypt_aesni(
+    const AesRoundKeys& round_keys, Block& block) {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys.data());
+  __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(block.data()));
+  b = _mm_xor_si128(b, _mm_loadu_si128(rk));
+  for (int round = 1; round < 10; ++round)
+    b = _mm_aesenc_si128(b, _mm_loadu_si128(rk + round));
+  b = _mm_aesenclast_si128(b, _mm_loadu_si128(rk + 10));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(block.data()), b);
 }
+#endif
+
+}  // namespace kernels
 
 namespace {
 
-// GF(2^128) multiplication for GHASH, bitwise (slow but simple and correct).
-std::array<std::uint8_t, 16> gf128_mul(const std::array<std::uint8_t, 16>& x,
-                                       const std::array<std::uint8_t, 16>& y) {
-  std::array<std::uint8_t, 16> z{};
-  std::array<std::uint8_t, 16> v = y;
-  for (int i = 0; i < 128; ++i) {
-    const int byte = i / 8;
-    const int bit = 7 - (i % 8);
-    if ((x[static_cast<std::size_t>(byte)] >> bit) & 1) {
-      for (int j = 0; j < 16; ++j) z[static_cast<std::size_t>(j)] ^= v[static_cast<std::size_t>(j)];
-    }
-    // v = v >> 1 (in GHASH bit order), with reduction by R = 0xe1...
-    const bool lsb = v[15] & 1;
-    for (int j = 15; j > 0; --j)
-      v[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
-          (v[static_cast<std::size_t>(j)] >> 1) |
-          (v[static_cast<std::size_t>(j - 1)] << 7));
-    v[0] >>= 1;
-    if (lsb) v[0] ^= 0xe1;
-  }
-  return z;
+using AesBlockKernel = void (*)(const kernels::AesRoundKeys&, kernels::Block&);
+
+AesBlockKernel aes_block_kernel() {
+#if VPSCOPE_CRYPTO_X86
+  if (cpu_features().aes) return kernels::aes128_encrypt_aesni;
+#endif
+  return kernels::aes128_encrypt_portable;
 }
 
-void ghash_update(std::array<std::uint8_t, 16>& y,
-                  const std::array<std::uint8_t, 16>& h, ByteView data) {
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::array<std::uint8_t, 16> block{};
-    const std::size_t take = std::min<std::size_t>(16, data.size() - pos);
-    std::memcpy(block.data(), data.data() + pos, take);
-    for (int i = 0; i < 16; ++i)
-      y[static_cast<std::size_t>(i)] ^= block[static_cast<std::size_t>(i)];
-    y = gf128_mul(y, h);
-    pos += take;
-  }
+void aes_encrypt(const kernels::AesRoundKeys& round_keys,
+                 kernels::Block& block) {
+  static const AesBlockKernel kernel = aes_block_kernel();
+  kernel(round_keys, block);
+}
+
+bool use_clmul() {
+#if VPSCOPE_CRYPTO_X86
+  return cpu_features().pclmul && cpu_features().ssse3;
+#else
+  return false;
+#endif
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 3; i >= 0; --i, v >>= 8) p[i] = static_cast<std::uint8_t>(v);
+}
+
+void store_be64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 7; i >= 0; --i, v >>= 8) p[i] = static_cast<std::uint8_t>(v);
+}
+
+/// J0 = nonce || 0x00000001 for 96-bit nonces.
+kernels::Block counter_block(ByteView nonce) {
+  if (nonce.size() != Aes128Gcm::kNonceSize)
+    throw std::invalid_argument("GCM nonce must be 12 bytes");
+  kernels::Block j0{};
+  std::copy(nonce.begin(), nonce.end(), j0.begin());
+  j0[15] = 1;
+  return j0;
 }
 
 }  // namespace
 
-Aes128Gcm::Aes128Gcm(ByteView key) : aes_(key) {
-  std::array<std::uint8_t, 16> zero{};
-  h_ = aes_.encrypt_block(zero);
+Aes128::Aes128(ByteView key) : round_keys_(kernels::aes128_expand_key(key)) {}
+
+void Aes128::encrypt_block(std::uint8_t block[kBlockSize]) const {
+  kernels::Block b;
+  std::memcpy(b.data(), block, kBlockSize);
+  aes_encrypt(round_keys_, b);
+  std::memcpy(block, b.data(), kBlockSize);
 }
 
-std::array<std::uint8_t, 16> Aes128Gcm::ghash(ByteView aad,
-                                              ByteView ciphertext) const {
-  std::array<std::uint8_t, 16> y{};
-  ghash_update(y, h_, aad);
-  ghash_update(y, h_, ciphertext);
-  std::array<std::uint8_t, 16> lengths{};
-  const std::uint64_t aad_bits = aad.size() * 8;
-  const std::uint64_t ct_bits = ciphertext.size() * 8;
-  for (int i = 0; i < 8; ++i) {
-    lengths[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(aad_bits >> (56 - 8 * i));
-    lengths[static_cast<std::size_t>(8 + i)] =
-        static_cast<std::uint8_t>(ct_bits >> (56 - 8 * i));
+std::array<std::uint8_t, Aes128::kBlockSize> Aes128::encrypt_block(
+    const std::array<std::uint8_t, kBlockSize>& block) const {
+  kernels::Block out = block;
+  aes_encrypt(round_keys_, out);
+  return out;
+}
+
+Aes128Gcm::Aes128Gcm(ByteView key)
+    : aes_(key), h_(aes_.encrypt_block(kernels::Block{})), clmul_(use_clmul()) {
+  if (!clmul_) table_ = kernels::ghash_table(h_);
+}
+
+void Aes128Gcm::ghash(kernels::Block& y, ByteView data) const {
+#if VPSCOPE_CRYPTO_X86
+  if (clmul_) return kernels::ghash_pclmul(h_, y, data);
+#endif
+  kernels::ghash_portable(table_, y, data);
+}
+
+kernels::Block Aes128Gcm::tag(const kernels::Block& j0, ByteView aad,
+                              ByteView ciphertext) const {
+  kernels::Block s{};
+  ghash(s, aad);
+  ghash(s, ciphertext);
+  kernels::Block lengths;
+  store_be64(lengths.data(), static_cast<std::uint64_t>(aad.size()) * 8);
+  store_be64(lengths.data() + 8,
+             static_cast<std::uint64_t>(ciphertext.size()) * 8);
+  ghash(s, lengths);
+  const kernels::Block mask = aes_.encrypt_block(j0);
+  for (std::size_t i = 0; i < s.size(); ++i) s[i] ^= mask[i];
+  return s;
+}
+
+void Aes128Gcm::ctr_xor(const kernels::Block& j0, std::uint8_t* data,
+                        std::size_t size) const {
+  kernels::Block counter = j0;
+  std::uint32_t ctr = 2;
+  for (std::size_t pos = 0; pos < size; pos += 16, ++ctr) {
+    store_be32(counter.data() + 12, ctr);
+    const kernels::Block keystream = aes_.encrypt_block(counter);
+    const std::size_t take = std::min<std::size_t>(16, size - pos);
+    for (std::size_t i = 0; i < take; ++i) data[pos + i] ^= keystream[i];
   }
-  for (int i = 0; i < 16; ++i)
-    y[static_cast<std::size_t>(i)] ^= lengths[static_cast<std::size_t>(i)];
-  return gf128_mul(y, h_);
 }
 
 Bytes Aes128Gcm::seal(ByteView nonce, ByteView aad, ByteView plaintext) const {
-  if (nonce.size() != kNonceSize)
-    throw std::invalid_argument("GCM nonce must be 12 bytes");
-
-  // J0 = nonce || 0x00000001 for 96-bit nonces.
-  std::array<std::uint8_t, 16> counter{};
-  std::memcpy(counter.data(), nonce.data(), kNonceSize);
-  counter[15] = 1;
-  const auto tag_mask = aes_.encrypt_block(counter);
-
-  Bytes ciphertext(plaintext.begin(), plaintext.end());
-  std::uint32_t ctr = 2;
-  for (std::size_t pos = 0; pos < ciphertext.size(); pos += 16, ++ctr) {
-    std::array<std::uint8_t, 16> block = counter;
-    for (int i = 0; i < 4; ++i)
-      block[static_cast<std::size_t>(12 + i)] =
-          static_cast<std::uint8_t>(ctr >> (24 - 8 * i));
-    const auto keystream = aes_.encrypt_block(block);
-    const std::size_t take = std::min<std::size_t>(16, ciphertext.size() - pos);
-    for (std::size_t i = 0; i < take; ++i) ciphertext[pos + i] ^= keystream[i];
-  }
-
-  const auto s = ghash(aad, ciphertext);
-  Bytes out = std::move(ciphertext);
-  for (int i = 0; i < 16; ++i)
-    out.push_back(s[static_cast<std::size_t>(i)] ^
-                  tag_mask[static_cast<std::size_t>(i)]);
+  const kernels::Block j0 = counter_block(nonce);
+  Bytes out(plaintext.size() + kTagSize);
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  ctr_xor(j0, out.data(), plaintext.size());
+  const kernels::Block t = tag(j0, aad, ByteView{out.data(), plaintext.size()});
+  std::copy(t.begin(), t.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(plaintext.size()));
   return out;
 }
 
 std::optional<Bytes> Aes128Gcm::open(ByteView nonce, ByteView aad,
                                      ByteView ciphertext_and_tag) const {
+  const kernels::Block j0 = counter_block(nonce);
   if (ciphertext_and_tag.size() < kTagSize) return std::nullopt;
   const ByteView ciphertext =
       ciphertext_and_tag.first(ciphertext_and_tag.size() - kTagSize);
-  const ByteView tag = ciphertext_and_tag.last(kTagSize);
+  const ByteView received = ciphertext_and_tag.last(kTagSize);
 
-  std::array<std::uint8_t, 16> counter{};
-  std::memcpy(counter.data(), nonce.data(), kNonceSize);
-  counter[15] = 1;
-  const auto tag_mask = aes_.encrypt_block(counter);
-  const auto s = ghash(aad, ciphertext);
-
+  const kernels::Block expected = tag(j0, aad, ciphertext);
   std::uint8_t diff = 0;
-  for (int i = 0; i < 16; ++i)
-    diff |= static_cast<std::uint8_t>(
-        tag[static_cast<std::size_t>(i)] ^ s[static_cast<std::size_t>(i)] ^
-        tag_mask[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 0; i < kTagSize; ++i)
+    diff |= static_cast<std::uint8_t>(received[i] ^ expected[i]);
   if (diff != 0) return std::nullopt;
 
   Bytes plaintext(ciphertext.begin(), ciphertext.end());
-  std::uint32_t ctr = 2;
-  for (std::size_t pos = 0; pos < plaintext.size(); pos += 16, ++ctr) {
-    std::array<std::uint8_t, 16> block = counter;
-    for (int i = 0; i < 4; ++i)
-      block[static_cast<std::size_t>(12 + i)] =
-          static_cast<std::uint8_t>(ctr >> (24 - 8 * i));
-    const auto keystream = aes_.encrypt_block(block);
-    const std::size_t take = std::min<std::size_t>(16, plaintext.size() - pos);
-    for (std::size_t i = 0; i < take; ++i) plaintext[pos + i] ^= keystream[i];
-  }
+  ctr_xor(j0, plaintext.data(), plaintext.size());
   return plaintext;
 }
 

@@ -7,6 +7,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/cpu_features.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define VPSCOPE_X86 1
@@ -43,17 +45,9 @@ bool CompiledForest::simd_supported(Simd level) {
     case Simd::Scalar:
       return true;
     case Simd::Sse2:
-#if VPSCOPE_X86
-      return __builtin_cpu_supports("sse2") != 0;
-#else
-      return false;
-#endif
+      return cpu_features().sse2;
     case Simd::Avx2:
-#if VPSCOPE_X86
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
+      return cpu_features().avx2;
   }
   return false;
 }

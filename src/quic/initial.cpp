@@ -5,6 +5,7 @@
 
 #include "crypto/aes.hpp"
 #include "crypto/hkdf.hpp"
+#include "crypto/sha256.hpp"
 #include "quic/varint.hpp"
 
 namespace vpscope::quic {
@@ -12,10 +13,9 @@ namespace vpscope::quic {
 namespace {
 
 // RFC 9001 §5.2: initial_salt for QUIC v1.
-const Bytes& initial_salt_v1() {
-  static const Bytes salt = from_hex("38762cf7f55934b34d179ae6a4c80cadccbb7f0a");
-  return salt;
-}
+constexpr std::array<std::uint8_t, 20> kInitialSaltV1 = {
+    0x38, 0x76, 0x2c, 0xf7, 0xf5, 0x59, 0x34, 0xb3, 0x4d, 0x17,
+    0x9a, 0xe6, 0xa4, 0xc8, 0x0c, 0xad, 0xcc, 0xbb, 0x7f, 0x0a};
 
 constexpr std::uint8_t kFramePadding = 0x00;
 constexpr std::uint8_t kFramePing = 0x01;
@@ -26,8 +26,9 @@ constexpr std::uint8_t kFrameCrypto = 0x06;
 // they keep offset arithmetic simple.
 constexpr std::size_t kPnLen = 4;
 
-Bytes make_nonce(const Bytes& iv, std::uint64_t packet_number) {
-  Bytes nonce = iv;
+std::array<std::uint8_t, 12> make_nonce(const std::array<std::uint8_t, 12>& iv,
+                                        std::uint64_t packet_number) {
+  std::array<std::uint8_t, 12> nonce = iv;
   for (int i = 0; i < 8; ++i)
     nonce[nonce.size() - 1 - static_cast<std::size_t>(i)] ^=
         static_cast<std::uint8_t>(packet_number >> (8 * i));
@@ -42,13 +43,15 @@ void put_varint_2byte(Writer& w, std::uint64_t v) {
 }  // namespace
 
 InitialKeys derive_client_initial_keys(ByteView dcid) {
-  const Bytes initial_secret = crypto::hkdf_extract(initial_salt_v1(), dcid);
-  const Bytes client_secret =
-      crypto::hkdf_expand_label(initial_secret, "client in", {}, 32);
+  static const crypto::HmacSha256 salt_v1(kInitialSaltV1);
+  const crypto::HmacSha256 initial_secret(salt_v1.mac({dcid}));  // Extract
+  std::array<std::uint8_t, 32> client_secret;
+  crypto::hkdf_expand_label(initial_secret, "client in", {}, client_secret);
+  const crypto::HmacSha256 client(client_secret);
   InitialKeys keys;
-  keys.key = crypto::hkdf_expand_label(client_secret, "quic key", {}, 16);
-  keys.iv = crypto::hkdf_expand_label(client_secret, "quic iv", {}, 12);
-  keys.hp = crypto::hkdf_expand_label(client_secret, "quic hp", {}, 16);
+  crypto::hkdf_expand_label(client, "quic key", {}, keys.key);
+  crypto::hkdf_expand_label(client, "quic iv", {}, keys.iv);
+  crypto::hkdf_expand_label(client, "quic hp", {}, keys.hp);
   return keys;
 }
 
@@ -97,8 +100,8 @@ std::vector<Bytes> build_client_initial_flight(
     const std::size_t pn_offset = hdr.size();
     hdr.u32(static_cast<std::uint32_t>(pn));
 
-    const Bytes nonce = make_nonce(keys.iv, pn);
-    const Bytes sealed = aead.seal(nonce, hdr.data(), plain.data());
+    const Bytes sealed =
+        aead.seal(make_nonce(keys.iv, pn), hdr.data(), plain.data());
 
     Bytes packet = hdr.data();
     packet.insert(packet.end(), sealed.begin(), sealed.end());
@@ -138,11 +141,11 @@ std::optional<InitialPacket> unprotect_client_initial(ByteView datagram) {
   const std::uint8_t first_protected = r.u8();
   const std::uint32_t version = r.u32();
   const std::uint8_t dcid_len = r.u8();
-  const Bytes dcid = r.bytes(dcid_len);
+  const ByteView dcid = r.view(dcid_len);
   const std::uint8_t scid_len = r.u8();
-  const Bytes scid = r.bytes(scid_len);
+  const ByteView scid = r.view(scid_len);
   const std::uint64_t token_len = get_varint(r);
-  const Bytes token = r.bytes(static_cast<std::size_t>(token_len));
+  const ByteView token = r.view(static_cast<std::size_t>(token_len));
   const std::uint64_t length = get_varint(r);
   if (!r.ok()) return std::nullopt;
   const std::size_t pn_offset = r.offset();
@@ -172,25 +175,34 @@ std::optional<InitialPacket> unprotect_client_initial(ByteView datagram) {
   // Initials arrive with tiny PNs and we always observe from packet 0.
 
   const crypto::Aes128Gcm aead(keys.key);
-  const Bytes nonce = make_nonce(keys.iv, pn);
   const ByteView ciphertext =
       datagram.subspan(pn_offset + pn_len,
                        static_cast<std::size_t>(length) - pn_len);
-  const auto plain = aead.open(nonce, header, ciphertext);
+  const auto plain = aead.open(make_nonce(keys.iv, pn), header, ciphertext);
   if (!plain) return std::nullopt;
 
   InitialPacket out;
   out.version = version;
-  out.dcid = dcid;
-  out.scid = scid;
-  out.token = token;
+  out.dcid.assign(dcid.begin(), dcid.end());
+  out.scid.assign(scid.begin(), scid.end());
+  out.token.assign(token.begin(), token.end());
   out.packet_number = pn;
 
   Reader fr(*plain);
   while (!fr.empty()) {
     const std::uint8_t type = fr.u8();
     if (!fr.ok()) break;
-    if (type == kFramePadding || type == kFramePing) continue;
+    if (type == kFramePadding) {
+      // Each PADDING frame is a single zero byte and Initials carry
+      // hundreds of them in a row: skip the whole run at once.
+      const ByteView rest = ByteView{*plain}.subspan(fr.offset());
+      fr.skip(static_cast<std::size_t>(
+          std::find_if(rest.begin(), rest.end(),
+                       [](std::uint8_t b) { return b != kFramePadding; }) -
+          rest.begin()));
+      continue;
+    }
+    if (type == kFramePing) continue;
     if (type == kFrameCrypto) {
       const std::uint64_t off = get_varint(fr);
       const std::uint64_t len = get_varint(fr);

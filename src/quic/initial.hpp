@@ -15,6 +15,7 @@
 // multiple Initial datagrams, as real clients do.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,12 +39,15 @@ struct InitialPacket {
 };
 
 /// Client Initial AEAD/HP key material derived from the DCID (RFC 9001 §5.2).
+/// Fixed-size fields convert to ByteView.
 struct InitialKeys {
-  Bytes key;  // 16 B, AES-128-GCM
-  Bytes iv;   // 12 B
-  Bytes hp;   // 16 B, header protection
+  std::array<std::uint8_t, 16> key{};  // AES-128-GCM
+  std::array<std::uint8_t, 12> iv{};
+  std::array<std::uint8_t, 16> hp{};   // header protection
 };
 
+/// The v1 key schedule without heap use: the initial salt is keyed into its
+/// HMAC pad states once per process, each derived secret once per call.
 InitialKeys derive_client_initial_keys(ByteView dcid);
 
 /// Builds the protected client Initial flight carrying `crypto_stream`

@@ -1,17 +1,31 @@
 // Crypto substrate validation against published test vectors:
 // FIPS 180-4 (SHA-256), RFC 4231 (HMAC), RFC 5869 (HKDF), FIPS 197 (AES),
 // NIST GCM vectors, RFC 1321 (MD5), and RFC 9001 Appendix A (the QUIC v1
-// Initial key schedule, exercised here at the HKDF layer).
+// Initial key schedule, exercised here at the HKDF layer, and the header
+// protection mask). The kernel oracle at the end checks every AES, GHASH
+// and SHA-256 kernel this CPU can run against a reference: the portable
+// GHASH and PCLMULQDQ against a bit-serial GF(2^128) multiply, AES-NI and
+// SHA-NI against their portable twins.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "crypto/aes.hpp"
 #include "crypto/hkdf.hpp"
+#include "crypto/kernels.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
+#include "util/cpu_features.hpp"
+#include "util/rng.hpp"
 
 namespace vpscope::crypto {
 namespace {
+
+using kernels::Block;
 
 ByteView sv(const std::string& s) {
   return ByteView{reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
@@ -49,6 +63,24 @@ TEST(Sha256, MillionA) {
   for (int i = 0; i < 1000; ++i) h.update(sv(chunk));
   EXPECT_EQ(hex_of(h.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, PaddingBoundaries) {
+  // 'a' x n at every padding edge: 55 is the longest message whose padding
+  // fits its block, 56-63 spill the length field into a second block, 64
+  // and 119/120 repeat that one block later. Digests from Python hashlib.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [n, expected] : cases)
+    EXPECT_EQ(hex_of(Sha256::digest(sv(std::string(n, 'a')))), expected)
+        << "n=" << n;
 }
 
 TEST(Sha256, StreamingSplitsMatchOneShot) {
@@ -190,6 +222,13 @@ TEST(Aes128Gcm, NistCase4WithAad) {
             "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
             "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
             "5bc94fbc3221a5db94fae95ae7121a47");
+  const auto opened = gcm.open(
+      nonce, aad,
+      from_hex("42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+               "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+               "5bc94fbc3221a5db94fae95ae7121a47"));
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, plaintext);
 }
 
 TEST(Aes128Gcm, SealOpenRoundTrip) {
@@ -229,6 +268,17 @@ TEST(Aes128Gcm, OpenRejectsShortInput) {
   EXPECT_FALSE(gcm.open(nonce, {}, from_hex("0011")).has_value());
 }
 
+TEST(Aes128Gcm, OpenRejectsWrongNonceSize) {
+  const Bytes key(16, 7);
+  Aes128Gcm gcm(key);
+  const Bytes sealed = gcm.seal(Bytes(12, 9), {}, from_hex("00112233"));
+  for (const std::size_t size : {0, 11, 13}) {
+    const Bytes nonce(size, 9);
+    EXPECT_THROW((void)gcm.open(nonce, {}, sealed), std::invalid_argument)
+        << "nonce size " << size;
+  }
+}
+
 // ---- MD5 (RFC 1321 Appendix A.5) ----
 
 TEST(Md5, Rfc1321Vectors) {
@@ -238,6 +288,138 @@ TEST(Md5, Rfc1321Vectors) {
             "f96b697d7cb7938d525a2f31aaf161d0");
   EXPECT_EQ(hex_of(md5(sv("abcdefghijklmnopqrstuvwxyz"))),
             "c3fcd3d76192e4007dfb496cca67e13b");
+}
+
+// ---- Kernel oracle ----
+
+/// The bit-serial GF(2^128) multiply of SP 800-38D Algorithm 1, the
+/// reference every GHASH kernel is checked against.
+Block gf128_mul(const Block& x, const Block& y) {
+  Block z{};
+  Block v = y;
+  for (std::size_t i = 0; i < 128; ++i) {
+    if ((x[i / 8] >> (7 - i % 8)) & 1)
+      for (std::size_t j = 0; j < 16; ++j) z[j] ^= v[j];
+    // v = v * x: a right shift in GCM's bit order, reduced by R = 0xe1...
+    const bool lsb = v[15] & 1;
+    for (std::size_t j = 15; j > 0; --j)
+      v[j] = static_cast<std::uint8_t>((v[j] >> 1) | (v[j - 1] << 7));
+    v[0] >>= 1;
+    if (lsb) v[0] ^= 0xe1;
+  }
+  return z;
+}
+
+void ghash_reference(const Block& h, Block& y, ByteView data) {
+  for (std::size_t pos = 0; pos < data.size(); pos += 16) {
+    for (std::size_t i = 0; i < 16 && pos + i < data.size(); ++i)
+      y[i] ^= data[pos + i];
+    y = gf128_mul(y, h);
+  }
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+Block random_block(Rng& rng) {
+  Block out;
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+using GhashKernel = std::function<void(const Block& h, Block& y, ByteView)>;
+
+/// GCM's use of GHASH: AAD, ciphertext, then the bit-length block.
+Block gcm_ghash(const GhashKernel& kernel, const Block& h, Block y,
+                ByteView aad, ByteView ciphertext) {
+  kernel(h, y, aad);
+  kernel(h, y, ciphertext);
+  Block lengths{};
+  const std::uint64_t bits[2] = {aad.size() * 8, ciphertext.size() * 8};
+  for (std::size_t i = 0; i < 16; ++i)
+    lengths[i] = static_cast<std::uint8_t>(bits[i / 8] >> (56 - 8 * (i % 8)));
+  kernel(h, y, lengths);
+  return y;
+}
+
+/// Every ciphertext length 0-300 (so every tail length mod 16), with random
+/// H, starting value, AAD length and bytes.
+void expect_matches_bit_serial(const GhashKernel& kernel) {
+  Rng rng(0x67686173);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const Block h = random_block(rng);
+    const Block y = random_block(rng);
+    const Bytes aad = random_bytes(rng, rng.uniform(0, 40));
+    const Bytes ciphertext = random_bytes(rng, n);
+    ASSERT_EQ(gcm_ghash(kernel, h, y, aad, ciphertext),
+              gcm_ghash(ghash_reference, h, y, aad, ciphertext))
+        << "ciphertext length " << n << ", aad length " << aad.size();
+  }
+}
+
+TEST(GhashKernel, PortableMatchesBitSerial) {
+  expect_matches_bit_serial([](const Block& h, Block& y, ByteView data) {
+    kernels::ghash_portable(kernels::ghash_table(h), y, data);
+  });
+}
+
+#if VPSCOPE_CRYPTO_X86
+TEST(GhashKernel, PclmulMatchesBitSerial) {
+  if (!cpu_features().pclmul || !cpu_features().ssse3)
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  expect_matches_bit_serial(kernels::ghash_pclmul);
+}
+
+TEST(AesKernel, AesniMatchesPortable) {
+  if (!cpu_features().aes) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(0x6165736e69);
+  for (int i = 0; i < 1000; ++i) {
+    const auto round_keys = kernels::aes128_expand_key(random_bytes(rng, 16));
+    Block portable = random_block(rng);
+    Block aesni = portable;
+    kernels::aes128_encrypt_portable(round_keys, portable);
+    kernels::aes128_encrypt_aesni(round_keys, aesni);
+    ASSERT_EQ(aesni, portable) << "case " << i;
+  }
+}
+
+TEST(Sha256Kernel, ShaniMatchesPortable) {
+  if (!cpu_features().sha || !cpu_features().sse41)
+    GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(0x7368616e69);
+  for (int i = 0; i < 500; ++i) {
+    std::array<std::uint32_t, 8> portable;
+    for (auto& word : portable) word = rng.next_u32();
+    auto shani = portable;
+    const std::size_t blocks = rng.uniform(1, 4);
+    const Bytes data = random_bytes(rng, blocks * Sha256::kBlockSize);
+    kernels::sha256_compress_portable(portable, data.data(), blocks);
+    kernels::sha256_compress_shani(shani, data.data(), blocks);
+    ASSERT_EQ(shani, portable) << "case " << i;
+  }
+}
+#endif
+
+TEST(AesKernel, Rfc9001HeaderProtectionMaskOnEachPath) {
+  // RFC 9001 Appendix A.2: the client's hp key and first sample.
+  using AesBlockKernel = void (*)(const kernels::AesRoundKeys&, Block&);
+  std::vector<std::pair<const char*, AesBlockKernel>> paths = {
+      {"portable", kernels::aes128_encrypt_portable}};
+#if VPSCOPE_CRYPTO_X86
+  if (cpu_features().aes) paths.emplace_back("aesni", kernels::aes128_encrypt_aesni);
+#endif
+  const auto round_keys =
+      kernels::aes128_expand_key(from_hex("9f50449e04a0e810283a1e9933adedd2"));
+  const Bytes sample = from_hex("d1b1c98dd7689fb8ec11d242b123dc9b");
+  for (const auto& [name, kernel] : paths) {
+    Block mask;
+    std::copy(sample.begin(), sample.end(), mask.begin());
+    kernel(round_keys, mask);
+    EXPECT_EQ(to_hex(ByteView{mask.data(), 5}), "437b9aec36") << name;
+  }
 }
 
 }  // namespace
