@@ -19,6 +19,10 @@ ReplayStats ReplayDriver::replay(ByteView pcap_image, const PacketSink& sink) {
   bool have_first_ts = false;
   std::uint64_t first_ts_us = 0;
   std::uint64_t next_flush_us = 0;
+  // One frame buffer for the whole replay: a sink that only reads the
+  // packet leaves its capacity for the next frame; a sink that moves it out
+  // takes the buffer along, and the next assign allocates a fresh one.
+  net::Packet packet;
 
   while (const auto frame = reader->next()) {
     if (!have_first_ts) {
@@ -54,7 +58,6 @@ ReplayStats ReplayDriver::replay(ByteView pcap_image, const PacketSink& sink) {
     stats.wire_bytes += frame->orig_len;
     stats.captured_bytes += frame->bytes.size();
     ++stats.frames;
-    net::Packet packet;
     packet.timestamp_us = frame->timestamp_us;
     packet.data.assign(datagram->begin(), datagram->end());
     sink(std::move(packet));

@@ -69,9 +69,12 @@ class ReplayDriver {
   void set_flush_hook(FlushHook hook) { flush_hook_ = std::move(hook); }
 
   /// Replays an in-memory pcap image into the sink. The image must stay
-  /// valid for the duration of the call only (packet bytes are copied into
-  /// the owned net::Packet handed to the sink — the pipeline keeps packets
-  /// beyond the call).
+  /// valid for the duration of the call only: packet bytes are copied into
+  /// the net::Packet handed to the sink. A sink that keeps the packet moves
+  /// it out and so owns its bytes (the sharded pipeline's move-ingest); a
+  /// sink that only reads it leaves the buffer to be reused for the next
+  /// frame, so replay into the single-threaded pipeline allocates nothing
+  /// per frame.
   ReplayStats replay(ByteView pcap_image, const PacketSink& sink);
 
   ReplayStats replay_file(const std::string& path, const PacketSink& sink);

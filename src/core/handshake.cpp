@@ -97,10 +97,10 @@ std::string_view HandshakeExtractor::sni() const {
 std::optional<FlowHandshake> extract_handshake(
     std::span<const net::Packet> packets) {
   HandshakeExtractor extractor;
+  net::DecodedPacket decoded;
   for (const auto& packet : packets) {
-    const auto decoded = net::decode(packet);
-    if (!decoded) continue;
-    extractor.feed(*decoded);
+    if (!net::decode_into(packet, decoded)) continue;
+    extractor.feed(decoded);
     if (extractor.complete()) break;
   }
   return extractor.complete() ? extractor.handshake() : std::nullopt;

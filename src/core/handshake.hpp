@@ -50,6 +50,9 @@ class HandshakeExtractor {
   bool feed(const net::DecodedPacket& packet);
 
   bool complete() const { return complete_; }
+  /// The client sent more than a ClientHello's worth of data without one:
+  /// not a TLS flow, and no later packet can change that.
+  bool failed() const { return failed_; }
   const std::optional<FlowHandshake>& handshake() const { return result_; }
 
   /// The SNI observed in the ClientHello (a view into the parsed

@@ -191,10 +191,14 @@ void CompiledForest::build_bitmask_scorer() {
     }
     const auto left = self(self, at + 1, tree);  // preorder: left is next
     const auto right = self(self, node.right, tree);
+    // A leaf position past 63 has no mask bit; its tree has more than 64
+    // leaves and bails out below, so the entry is never used — only the
+    // shift must not happen.
     const std::uint64_t left_mask =
-        left.second >= 64 ? ~0ull
-                          : ((1ull << left.second) - 1)
-                                << static_cast<unsigned>(left.first);
+        left.first >= 64    ? 0
+        : left.second >= 64 ? ~0ull
+                            : ((1ull << left.second) - 1)
+                                  << static_cast<unsigned>(left.first);
     entries.push_back({node.feature, node.threshold, tree, ~left_mask});
     return {left.first, left.second + right.second};
   };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -205,10 +206,18 @@ std::optional<DecisionTree> DecisionTree::deserialize(Reader& r) {
   if (node_count > r.remaining() / 24) return std::nullopt;
   tree.nodes_.resize(node_count);
   for (Node& node : tree.nodes_) {
-    node.feature = static_cast<int>(r.u32()) - 1;
+    const std::uint32_t feature = r.u32();
     node.threshold = std::bit_cast<double>(r.u64());
-    node.left = static_cast<int>(r.u32()) - 1;
-    node.right = static_cast<int>(r.u32()) - 1;
+    const std::uint32_t left = r.u32();
+    const std::uint32_t right = r.u32();
+    // Stored as index + 1 (0 = none): a field above INT_MAX is no index,
+    // and narrowing it before the subtraction would overflow.
+    constexpr std::uint32_t kMaxField = std::numeric_limits<int>::max();
+    if (feature > kMaxField || left > kMaxField || right > kMaxField)
+      return std::nullopt;
+    node.feature = static_cast<int>(feature) - 1;
+    node.left = static_cast<int>(left) - 1;
+    node.right = static_cast<int>(right) - 1;
     node.depth = r.u16();
     const std::uint16_t proba_size = r.u16();
     if (!r.ok() || proba_size > 4096 || proba_size > r.remaining() / 8)

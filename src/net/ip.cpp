@@ -96,7 +96,8 @@ Bytes Ipv6Header::serialize(ByteView payload) const {
   w.u32(std::uint32_t{6} << 28 |
         static_cast<std::uint32_t>(traffic_class) << 20 |
         (flow_label & 0xfffff));
-  w.u16(static_cast<std::uint16_t>(payload.size()));
+  w.u16(payload_length ? payload_length
+                       : static_cast<std::uint16_t>(payload.size()));
   w.u8(next_header);
   w.u8(hop_limit);
   w.raw(ByteView{src.bytes.data(), 16});
@@ -115,6 +116,8 @@ std::optional<Ipv6Header> Ipv6Header::parse(ByteView datagram,
       static_cast<std::uint8_t>((datagram[0] & 0x0f) << 4 | datagram[1] >> 4);
   h.flow_label = static_cast<std::uint32_t>(datagram[1] & 0x0f) << 16 |
                  static_cast<std::uint32_t>(datagram[2]) << 8 | datagram[3];
+  h.payload_length =
+      static_cast<std::uint16_t>(datagram[4] << 8 | datagram[5]);
   h.next_header = datagram[6];
   h.hop_limit = datagram[7];
   h.src.is_v6 = h.dst.is_v6 = true;

@@ -7,6 +7,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 
@@ -38,6 +39,19 @@ struct IpAddr {
   std::uint32_t as_v4_u32() const;
   std::string to_string() const;
 
+  /// The address bytes as two native-order 64-bit words, so equality (on
+  /// every flow lookup) is two word compares.
+  std::array<std::uint64_t, 2> words() const {
+    std::array<std::uint64_t, 2> w;
+    std::memcpy(w.data(), bytes.data(), sizeof w);
+    return w;
+  }
+
+  bool operator==(const IpAddr& other) const {
+    const auto a = words();
+    const auto b = other.words();
+    return ((a[0] ^ b[0]) | (a[1] ^ b[1])) == 0 && is_v6 == other.is_v6;
+  }
   auto operator<=>(const IpAddr&) const = default;
 };
 
@@ -71,6 +85,9 @@ struct Ipv6Header {
 
   std::uint8_t traffic_class = 0;
   std::uint32_t flow_label = 0;
+  /// Bytes after the fixed header; filled by serialize when 0. A capture
+  /// may truncate the datagram while this field keeps the original size.
+  std::uint16_t payload_length = 0;
   std::uint8_t next_header = kProtoTcp;
   std::uint8_t hop_limit = 64;  // plays the TTL role for the t2 attribute
   IpAddr src;

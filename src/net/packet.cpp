@@ -1,6 +1,8 @@
 #include "net/packet.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace vpscope::net {
 
@@ -18,6 +20,15 @@ std::uint64_t splitmix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+/// Word `i` of the address in big-endian order: comparing these numbers
+/// orders addresses exactly as comparing their bytes does.
+std::uint64_t be_word(const IpAddr& addr, int i) {
+  const std::uint64_t w = addr.words()[static_cast<std::size_t>(i)];
+  if constexpr (std::endian::native == std::endian::little)
+    return __builtin_bswap64(w);
+  return w;
+}
+
 }  // namespace
 
 FlowKey FlowKey::canonical(const IpAddr& src, std::uint16_t sport,
@@ -25,8 +36,12 @@ FlowKey FlowKey::canonical(const IpAddr& src, std::uint16_t sport,
                            std::uint8_t protocol, bool* from_a_to_b) {
   FlowKey k;
   k.protocol = protocol;
-  const bool src_first =
-      std::tie(src.bytes, sport) <= std::tie(dst.bytes, dport);
+  // (src bytes, sport) <= (dst bytes, dport), lexicographically.
+  const std::uint64_t s0 = be_word(src, 0), d0 = be_word(dst, 0);
+  const std::uint64_t s1 = be_word(src, 1), d1 = be_word(dst, 1);
+  const bool src_first = s0 != d0   ? s0 < d0
+                         : s1 != d1 ? s1 < d1
+                                    : sport <= dport;
   if (src_first) {
     k.addr_a = src;
     k.port_a = sport;
@@ -44,14 +59,9 @@ FlowKey FlowKey::canonical(const IpAddr& src, std::uint16_t sport,
 
 std::size_t FlowKeyHash::operator()(const FlowKey& k) const {
   std::uint64_t h = splitmix64(k.protocol);
-  for (int i = 0; i < 16; i += 8) {
-    std::uint64_t a = 0, b = 0;
-    for (int j = 0; j < 8; ++j) {
-      a = a << 8 | k.addr_a.bytes[static_cast<std::size_t>(i + j)];
-      b = b << 8 | k.addr_b.bytes[static_cast<std::size_t>(i + j)];
-    }
-    h = splitmix64(h ^ a);
-    h = splitmix64(h ^ b);
+  for (int i = 0; i < 2; ++i) {
+    h = splitmix64(h ^ be_word(k.addr_a, i));
+    h = splitmix64(h ^ be_word(k.addr_b, i));
   }
   h = splitmix64(h ^ (static_cast<std::uint64_t>(k.port_a) << 16 | k.port_b));
   return static_cast<std::size_t>(h);
@@ -74,51 +84,66 @@ FlowKey DecodedPacket::flow_key(bool* from_a_to_b) const {
                             from_a_to_b);
 }
 
-std::optional<DecodedPacket> decode(const Packet& packet) {
+bool decode_into(const Packet& packet, DecodedPacket& out) {
   const ByteView raw{packet.data};
-  if (raw.empty()) return std::nullopt;
-
-  DecodedPacket out;
+  if (raw.empty()) return false;
+  const std::uint8_t* p = raw.data();
   out.timestamp_us = packet.timestamp_us;
-  out.ip_packet_size = raw.size();
 
   std::size_t ip_hlen = 0;
-  const int version = raw[0] >> 4;
+  std::size_t claimed = 0;  // datagram length per the IP header
+  const int version = p[0] >> 4;
   if (version == 4) {
-    const auto v4 = Ipv4Header::parse(raw, &ip_hlen);
-    if (!v4) return std::nullopt;
-    out.ttl = v4->ttl;
-    out.src = v4->src;
-    out.dst = v4->dst;
-    out.protocol = v4->protocol;
-    // Snap-length semantics: a capture may truncate the packet while the IP
-    // header still reports the original datagram length — volumetric
-    // telemetry must use the header value.
-    out.ip_packet_size = std::max<std::size_t>(raw.size(), v4->total_length);
+    ip_hlen = (p[0] & 0x0f) * std::size_t{4};
+    if (raw.size() < Ipv4Header::kMinSize || ip_hlen < Ipv4Header::kMinSize ||
+        raw.size() < ip_hlen)
+      return false;
+    out.is_v6 = false;
+    out.ttl = p[8];
+    out.protocol = p[9];
+    out.src = IpAddr{};
+    out.dst = IpAddr{};
+    std::memcpy(out.src.bytes.data(), p + 12, 4);
+    std::memcpy(out.dst.bytes.data(), p + 16, 4);
+    claimed = static_cast<std::size_t>(p[2] << 8 | p[3]);
   } else if (version == 6) {
-    const auto v6 = Ipv6Header::parse(raw, &ip_hlen);
-    if (!v6) return std::nullopt;
+    if (raw.size() < Ipv6Header::kSize) return false;
+    ip_hlen = Ipv6Header::kSize;
     out.is_v6 = true;
-    out.ttl = v6->hop_limit;
-    out.src = v6->src;
-    out.dst = v6->dst;
-    out.protocol = v6->next_header;
+    out.ttl = p[7];  // hop limit
+    out.protocol = p[6];
+    out.src.is_v6 = out.dst.is_v6 = true;
+    std::memcpy(out.src.bytes.data(), p + 8, 16);
+    std::memcpy(out.dst.bytes.data(), p + 24, 16);
+    claimed = Ipv6Header::kSize + static_cast<std::size_t>(p[4] << 8 | p[5]);
   } else {
-    return std::nullopt;
+    return false;
   }
+  // Snap-length semantics: a capture may truncate the packet while the IP
+  // header still reports the original datagram length — volumetric
+  // telemetry must use the header value.
+  out.ip_packet_size = std::max(raw.size(), claimed);
 
   const ByteView transport = raw.subspan(ip_hlen);
   std::size_t t_hlen = 0;
   if (out.protocol == kProtoTcp) {
-    out.tcp = TcpHeader::parse(transport, &t_hlen);
-    if (!out.tcp) return std::nullopt;
+    out.udp.reset();
+    if (!TcpHeader::parse_into(transport, out.tcp.emplace(), &t_hlen))
+      return false;
   } else if (out.protocol == kProtoUdp) {
-    out.udp = UdpHeader::parse(transport, &t_hlen);
-    if (!out.udp) return std::nullopt;
+    out.tcp.reset();
+    if (!UdpHeader::parse_into(transport, out.udp.emplace(), &t_hlen))
+      return false;
   } else {
-    return std::nullopt;
+    return false;
   }
   out.payload = transport.subspan(t_hlen);
+  return true;
+}
+
+std::optional<DecodedPacket> decode(const Packet& packet) {
+  std::optional<DecodedPacket> out(std::in_place);
+  if (!decode_into(packet, *out)) out.reset();
   return out;
 }
 

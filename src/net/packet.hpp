@@ -38,14 +38,16 @@ struct FlowKey {
 };
 
 /// Full-avalanche hash of the canonical key (SplitMix64-finalized), so both
-/// `unordered_map` bucketing and `hash % n_shards` shard dispatch distribute
-/// evenly even over low-entropy key populations.
+/// flow-table probing and `hash % n_shards` shard dispatch distribute
+/// evenly even over low-entropy key populations. Its values pick shards,
+/// span samples and canary routes, so they are pinned by tests.
 struct FlowKeyHash {
   std::size_t operator()(const FlowKey& k) const;
 };
 
 /// A decoded packet: typed headers + a payload view into the original bytes.
-/// The view borrows from the Packet that produced it.
+/// The view borrows from the Packet that produced it. Trivially copyable:
+/// no member owns heap memory.
 struct DecodedPacket {
   std::uint64_t timestamp_us = 0;
   bool is_v6 = false;
@@ -63,8 +65,16 @@ struct DecodedPacket {
   FlowKey flow_key(bool* from_a_to_b = nullptr) const;
 };
 
-/// Decodes a raw IP packet. Returns nullopt for non-IP, truncated, or
-/// non-TCP/UDP datagrams (the pipeline ignores those anyway).
+/// Decodes a raw IP packet into the caller-owned `out`, reading the IP and
+/// transport headers at their fixed offsets. Returns false for non-IP,
+/// truncated, or non-TCP/UDP datagrams (the pipeline ignores those anyway);
+/// `out` is then unspecified. Nothing is allocated. `ip_packet_size` is the
+/// larger of the captured length and the length the IP header claims
+/// (IPv4 total_length, IPv6 40 + payload_length), because a snap-length
+/// capture keeps only the headers of a full-size datagram.
+bool decode_into(const Packet& packet, DecodedPacket& out);
+
+/// decode_into returning an optional, for callers that keep no scratch.
 std::optional<DecodedPacket> decode(const Packet& packet);
 
 }  // namespace vpscope::net

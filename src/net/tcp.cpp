@@ -28,6 +28,12 @@ constexpr std::uint8_t kOptMss = 2;
 constexpr std::uint8_t kOptWScale = 3;
 constexpr std::uint8_t kOptSackPerm = 4;
 constexpr std::uint8_t kOptTimestamps = 8;
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) << 24 |
+         static_cast<std::uint32_t>(p[1]) << 16 |
+         static_cast<std::uint32_t>(p[2]) << 8 | p[3];
+}
 }  // namespace
 
 Bytes TcpHeader::serialize(ByteView payload) const {
@@ -35,7 +41,7 @@ Bytes TcpHeader::serialize(ByteView payload) const {
   // Emit options in the order recorded in kind_order when present, so a
   // fingerprint's option sequence round-trips exactly. Fall back to a
   // conventional order otherwise.
-  std::vector<std::uint8_t> order = options.kind_order;
+  TcpOptionKinds order = options.kind_order;
   if (order.empty()) {
     if (options.mss) order.push_back(kOptMss);
     if (options.window_scale) order.push_back(kOptWScale);
@@ -97,52 +103,49 @@ Bytes TcpHeader::serialize(ByteView payload) const {
   return std::move(w).take();
 }
 
-std::optional<TcpHeader> TcpHeader::parse(ByteView segment,
-                                          std::size_t* header_len) {
-  if (segment.size() < kMinSize) return std::nullopt;
-  Reader r(segment);
-  TcpHeader h;
-  h.src_port = r.u16();
-  h.dst_port = r.u16();
-  h.seq = r.u32();
-  h.ack = r.u32();
-  const std::uint8_t data_offset = r.u8() >> 4;
-  h.flags = TcpFlags::from_byte(r.u8());
-  h.window = r.u16();
-  r.skip(4);  // checksum + urgent pointer
+bool TcpHeader::parse_into(ByteView segment, TcpHeader& h,
+                           std::size_t* header_len) {
+  if (segment.size() < kMinSize) return false;
+  const std::uint8_t* p = segment.data();
+  h.src_port = static_cast<std::uint16_t>(p[0] << 8 | p[1]);
+  h.dst_port = static_cast<std::uint16_t>(p[2] << 8 | p[3]);
+  h.seq = load_be32(p + 4);
+  h.ack = load_be32(p + 8);
+  h.flags = TcpFlags::from_byte(p[13]);
+  h.window = static_cast<std::uint16_t>(p[14] << 8 | p[15]);
+  // p[16..19]: checksum + urgent pointer, not modeled.
 
-  const std::size_t hlen = data_offset * std::size_t{4};
-  if (hlen < kMinSize || segment.size() < hlen) return std::nullopt;
+  const std::size_t hlen = (p[12] >> 4) * std::size_t{4};
+  if (hlen < kMinSize || segment.size() < hlen) return false;
 
-  Reader opts(segment.subspan(kMinSize, hlen - kMinSize));
-  while (opts.remaining() > 0) {
-    const std::uint8_t kind = opts.u8();
+  std::size_t at = kMinSize;
+  while (at < hlen) {
+    const std::uint8_t kind = p[at++];
     if (kind == kOptEol) break;
     h.options.kind_order.push_back(kind);
     if (kind == kOptNop) continue;
-    const std::uint8_t len = opts.u8();
-    if (len < 2 || !opts.ok()) return std::nullopt;
+    if (at == hlen) return false;  // the length byte is missing
+    const std::uint8_t len = p[at++];
+    if (len < 2) return false;
     const std::size_t body_len = len - std::size_t{2};
-    ByteView body = opts.view(body_len);
-    if (!opts.ok()) return std::nullopt;
+    if (body_len > hlen - at) return false;
+    const std::uint8_t* body = p + at;
+    at += body_len;
     switch (kind) {
       case kOptMss:
-        if (body.size() == 2)
+        if (body_len == 2)
           h.options.mss = static_cast<std::uint16_t>(body[0] << 8 | body[1]);
         break;
       case kOptWScale:
-        if (body.size() == 1) h.options.window_scale = body[0];
+        if (body_len == 1) h.options.window_scale = body[0];
         break;
       case kOptSackPerm:
         h.options.sack_permitted = true;
         break;
       case kOptTimestamps:
-        if (body.size() == 8) {
+        if (body_len == 8) {
           h.options.timestamps = true;
-          h.options.ts_value = static_cast<std::uint32_t>(body[0]) << 24 |
-                               static_cast<std::uint32_t>(body[1]) << 16 |
-                               static_cast<std::uint32_t>(body[2]) << 8 |
-                               body[3];
+          h.options.ts_value = load_be32(body);
         }
         break;
       default:
@@ -151,6 +154,13 @@ std::optional<TcpHeader> TcpHeader::parse(ByteView segment,
   }
 
   if (header_len) *header_len = hlen;
+  return true;
+}
+
+std::optional<TcpHeader> TcpHeader::parse(ByteView segment,
+                                          std::size_t* header_len) {
+  std::optional<TcpHeader> h(std::in_place);
+  if (!parse_into(segment, *h, header_len)) h.reset();
   return h;
 }
 

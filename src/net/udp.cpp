@@ -12,16 +12,22 @@ Bytes UdpHeader::serialize(ByteView payload) const {
   return std::move(w).take();
 }
 
+bool UdpHeader::parse_into(ByteView datagram, UdpHeader& out,
+                           std::size_t* header_len) {
+  if (datagram.size() < kSize) return false;
+  const std::uint8_t* p = datagram.data();
+  const std::uint16_t len = static_cast<std::uint16_t>(p[4] << 8 | p[5]);
+  if (len < kSize || datagram.size() < len) return false;
+  out.src_port = static_cast<std::uint16_t>(p[0] << 8 | p[1]);
+  out.dst_port = static_cast<std::uint16_t>(p[2] << 8 | p[3]);
+  if (header_len) *header_len = kSize;
+  return true;
+}
+
 std::optional<UdpHeader> UdpHeader::parse(ByteView datagram,
                                           std::size_t* header_len) {
-  if (datagram.size() < kSize) return std::nullopt;
-  UdpHeader h;
-  h.src_port = static_cast<std::uint16_t>(datagram[0] << 8 | datagram[1]);
-  h.dst_port = static_cast<std::uint16_t>(datagram[2] << 8 | datagram[3]);
-  const std::uint16_t len =
-      static_cast<std::uint16_t>(datagram[4] << 8 | datagram[5]);
-  if (len < kSize || datagram.size() < len) return std::nullopt;
-  if (header_len) *header_len = kSize;
+  std::optional<UdpHeader> h(std::in_place);
+  if (!parse_into(datagram, *h, header_len)) h.reset();
   return h;
 }
 

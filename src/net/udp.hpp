@@ -18,6 +18,11 @@ struct UdpHeader {
   /// conventional at capture points with checksum offload).
   Bytes serialize(ByteView payload) const;
 
+  /// Parses the header into `out`; false when the datagram is shorter than
+  /// 8 bytes or than its own length field. net::decode_into calls it in
+  /// place, parse() wraps it.
+  static bool parse_into(ByteView datagram, UdpHeader& out,
+                         std::size_t* header_len);
   static std::optional<UdpHeader> parse(ByteView datagram,
                                         std::size_t* header_len);
 };

@@ -168,10 +168,10 @@ PipelineStats VideoFlowPipeline::stats() const {
 
 void VideoFlowPipeline::trace_push(obs::TraceEventKind kind,
                                    std::uint64_t ts_us,
-                                   const FlowState& state) {
+                                   const Flows::Record& flow) {
   obs::TraceEvent event;
   event.ts_us = ts_us;
-  event.flow_hash = state.flow_hash;
+  event.flow_hash = flow.hash;
   event.kind = kind;
   ring_->push(event);
 }
@@ -183,79 +183,86 @@ void VideoFlowPipeline::on_packet(const net::Packet& packet) {
   // dispatcher): the Parse span is the root of this packet's chain.
   std::uint64_t t_parse = 0;
   if (span_ring_) t_parse = obs::tick_now_ns();
-  std::optional<net::DecodedPacket> decoded;
+  net::DecodedPacket decoded;
+  bool ok;
   {
     obs::ScopedTimer timer(&obs_->profiler, obs::Stage::Parse, slot_);
-    decoded = net::decode(packet);
+    ok = net::decode_into(packet, decoded);
   }
-  if (!decoded) {
+  if (!ok) {
     obs_->packets_non_ip.add(slot_);  // rejected at decode = fully handled
     return;
   }
-  if (span_ring_) {
-    const std::uint64_t hash = net::FlowKeyHash{}(decoded->flow_key());
-    if (span_ring_->sampled(hash))
-      packet_span_parent_ =
-          span_ring_->record(obs::SpanKind::Parse, hash, 0, t_parse,
-                             obs::tick_now_ns(), adopted_model_gen_);
-  }
   obs_->packets_completed.add(slot_);
-  on_decoded(*decoded);
-}
-
-void VideoFlowPipeline::touch_lru(FlowState& state) {
-  // Idle-ordered by construction: a flow is moved to the back on every
-  // packet, so the front is the longest-idle flow even when timestamps run
-  // backwards (arrival order, not clock order, drives eviction).
-  lru_.splice(lru_.end(), lru_, state.lru_it);
-}
-
-bool VideoFlowPipeline::admit_flow(FlowMap::iterator it, bool inserted,
-                                   std::uint64_t ts_us) {
-  if (options_.max_flows == 0) return true;
-  if (inserted) {
-    lru_.push_back(it->first);
-    it->second.lru_it = std::prev(lru_.end());
-  } else {
-    touch_lru(it->second);
-  }
-  if (flows_.size() <= options_.max_flows) return true;
-  obs_->flows_evicted_capacity.add(slot_);
-  if (options_.eviction == PipelineOptions::Eviction::RejectNew) {
-    // `it` is the newest flow (we only get here on insertion); refuse it.
-    // flows_total was not yet counted for it — the caller counts only after
-    // admission succeeds, keeping the counter monotone (every packet of a
-    // refused flow retries the insert, and retries are not new flows).
-    if (ring_ && it->second.traced)
-      trace_push(obs::TraceEventKind::Rejected, ts_us, it->second);
-    lru_.erase(it->second.lru_it);
-    flows_.erase(it);
-    return false;
-  }
-  // LruIdle: the front of lru_ is the longest-idle flow; it leaves through
-  // the normal sink path. It is never `it` itself — `it` was just touched.
-  const net::FlowKey victim_key = lru_.front();
-  const auto victim = flows_.find(victim_key);
-  // A staged victim must carry its prediction into the sink record: resolve
-  // the whole pending batch before finalizing (resolution only mutates flow
-  // *states*, never the table, so `it` and `victim` stay valid).
-  if (victim->second.classify_pending) classify_pending_flush();
-  if (ring_ && victim->second.traced)
-    trace_push(obs::TraceEventKind::Evicted, ts_us, victim->second);
-  finalize(victim->first, victim->second);
-  flows_.erase(victim);
-  lru_.pop_front();
-  return true;
+  // Video flows ride HTTPS; anything else never enters the flow table.
+  const bool https = decoded.src_port() == 443 || decoded.dst_port() == 443;
+  if (!https && !span_ring_) return;
+  const net::FlowKey key = decoded.flow_key();
+  const std::uint64_t hash = net::FlowKeyHash{}(key);
+  if (span_ring_ && span_ring_->sampled(hash))
+    packet_span_parent_ =
+        span_ring_->record(obs::SpanKind::Parse, hash, 0, t_parse,
+                           obs::tick_now_ns(), adopted_model_gen_);
+  if (https) process(decoded, key, hash);
 }
 
 void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
-  // Video flows ride HTTPS; anything else never enters the flow table.
   if (decoded.src_port() != 443 && decoded.dst_port() != 443) return;
-
   const net::FlowKey key = decoded.flow_key();
-  auto [it, inserted] = flows_.try_emplace(key);
-  FlowState& state = it->second;
+  process(decoded, key, net::FlowKeyHash{}(key));
+}
+
+void VideoFlowPipeline::release_handshake(FlowRecord& state) {
+  if (state.handshake == kNoHandshake) return;
+  handshakes_[state.handshake] = core::HandshakeExtractor{};
+  free_handshakes_.push_back(state.handshake);
+  state.handshake = kNoHandshake;
+}
+
+void VideoFlowPipeline::erase_flow(FlowId id) {
+  release_handshake(flows_[id].value);
+  flows_.erase(id);
+}
+
+bool VideoFlowPipeline::admit_flow(FlowId id, bool inserted,
+                                   std::uint64_t ts_us) {
+  if (options_.max_flows == 0) return true;
+  // Idle-ordered by construction: insert appends to the LRU list and every
+  // packet moves its flow to the back, so the front is the longest-idle
+  // flow even when timestamps run backwards (arrival order, not clock
+  // order, drives eviction).
+  if (!inserted) flows_.touch(id);
+  if (flows_.size() <= options_.max_flows) return true;
+  obs_->flows_evicted_capacity.add(slot_);
+  if (options_.eviction == PipelineOptions::Eviction::RejectNew) {
+    // `id` is the newest flow (we only get here on insertion); refuse it.
+    // flows_total was not yet counted for it — the caller counts only after
+    // admission succeeds, keeping the counter monotone (every packet of a
+    // refused flow retries the insert, and retries are not new flows).
+    if (ring_ && flows_[id].value.traced)
+      trace_push(obs::TraceEventKind::Rejected, ts_us, flows_[id]);
+    erase_flow(id);
+    return false;
+  }
+  // LruIdle: the LRU front is the longest-idle flow; it leaves through the
+  // normal sink path. It is never `id` itself — `id` was just touched.
+  const FlowId victim = flows_.lru_front();
+  // A staged victim must carry its prediction into the sink record: resolve
+  // the whole pending batch before finalizing (resolution only mutates flow
+  // *states*, never the table).
+  if (flows_[victim].value.classify_pending) classify_pending_flush();
+  if (ring_ && flows_[victim].value.traced)
+    trace_push(obs::TraceEventKind::Evicted, ts_us, flows_[victim]);
+  finalize(flows_[victim]);
+  erase_flow(victim);
+  return true;
+}
+
+void VideoFlowPipeline::process(const net::DecodedPacket& decoded,
+                                const net::FlowKey& key, std::uint64_t hash) {
+  const auto [id, inserted] = flows_.insert(key, hash);
   if (inserted) {
+    FlowRecord& state = flows_[id].value;
     // The first packet of a flow comes from the client in our captures
     // (SYN / QUIC Initial); fall back to "not port 443" for robustness.
     if (decoded.dst_port() == 443) {
@@ -265,28 +272,33 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
       state.client_addr = decoded.dst;
       state.client_port = decoded.dst_port();
     }
-    state.transport =
-        decoded.udp ? Transport::Quic : Transport::Tcp;
-    if (ring_ || span_ring_) {
-      state.flow_hash = net::FlowKeyHash{}(key);
-      if (ring_) state.traced = ring_->sampled(state.flow_hash);
-      if (span_ring_) state.span_traced = span_ring_->sampled(state.flow_hash);
-    }
+    state.transport = decoded.udp ? Transport::Quic : Transport::Tcp;
+    if (ring_) state.traced = ring_->sampled(hash);
+    if (span_ring_) state.span_traced = span_ring_->sampled(hash);
   }
-  if (!admit_flow(it, inserted, decoded.timestamp_us)) {
+  if (!admit_flow(id, inserted, decoded.timestamp_us)) {
     sync_flows_active();
     return;
   }
+  // Admission may have erased another flow but never moves this one.
+  Flows::Record& flow = flows_[id];
+  FlowRecord& state = flow.value;
   if (inserted) {
+    if (free_handshakes_.empty()) {
+      state.handshake = static_cast<std::uint32_t>(handshakes_.size());
+      handshakes_.emplace_back();
+    } else {
+      state.handshake = free_handshakes_.back();
+      free_handshakes_.pop_back();
+    }
     obs_->flows_total.add(slot_);
     sync_flows_active();
     if (ring_ && state.traced)
-      trace_push(obs::TraceEventKind::Admitted, decoded.timestamp_us, state);
+      trace_push(obs::TraceEventKind::Admitted, decoded.timestamp_us, flow);
   }
 
   // Telemetry: every packet counts, direction by client address.
-  const bool from_client = state.client_addr &&
-                           decoded.src == *state.client_addr &&
+  const bool from_client = decoded.src == state.client_addr &&
                            decoded.src_port() == state.client_port;
   if (from_client)
     state.counters.add_up(decoded.timestamp_us, decoded.ip_packet_size);
@@ -302,7 +314,7 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
     const std::uint64_t pkt_parent = packet_span_parent_;
     packet_span_parent_ = 0;
     span_scratch_.ring = span_ring_;
-    span_scratch_.flow_hash = state.flow_hash;
+    span_scratch_.flow_hash = hash;
     span_scratch_.parent = pkt_parent != 0 ? pkt_parent : state.span_last;
     span_scratch_.model_gen = adopted_model_gen_;
     span_scratch_.last_id = 0;
@@ -310,27 +322,35 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
   }
 
   // Handshake path: feed until complete, then detect provider + classify.
-  if (state.prediction || state.classify_pending) {
+  // A flow past that point holds no handshake slot and only counts.
+  if (state.handshake == kNoHandshake) {
     if (spans) state.span_last = span_scratch_.parent;
     return;
   }
+  core::HandshakeExtractor& extractor = handshakes_[state.handshake];
   bool fed;
   {
     obs::ScopedTimer timer(&obs_->profiler, obs::Stage::Extract, slot_);
     obs::SpanScope span(spans, obs::SpanKind::Extract);
-    fed = state.extractor.feed(decoded);
+    fed = extractor.feed(decoded);
   }
   if (spans) state.span_last = span_scratch_.parent;
-  if (!fed) return;
-  if (!state.extractor.complete()) return;
+  if (extractor.failed()) {
+    release_handshake(state);  // not a TLS flow
+    return;
+  }
+  if (!fed || !extractor.complete()) return;
 
-  state.sni = state.extractor.sni();
+  state.sni = extractor.sni();
   state.provider = provider_from_sni(state.sni);
-  if (!state.provider) return;  // HTTPS, but not a video provider of interest
+  if (!state.provider) {
+    release_handshake(state);  // HTTPS, but not a video provider of interest
+    return;
+  }
 
   obs_->video_flows.add(slot_);
   state.video_counted = true;
-  const auto& handshake = *state.extractor.handshake();
+  const auto& handshake = *extractor.handshake();
 
   // Canary routing (DESIGN.md §5j): while a rollout is active, a
   // deterministic FlowKeyHash fraction of flows classifies against the
@@ -339,14 +359,11 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
   const ClassifierBank* route_bank = bank_;
   ClassifierBank::ClassifyBatch* route_batch =
       batch_ ? &*batch_ : nullptr;
-  if (generation_ && generation_->canary) {
-    const std::uint64_t flow_hash =
-        ring_ ? state.flow_hash : net::FlowKeyHash{}(key);
-    if (generation_->routes_to_canary(flow_hash)) {
-      state.canary_routed = true;
-      route_bank = generation_->canary.get();
-      route_batch = canary_batch_ ? &*canary_batch_ : nullptr;
-    }
+  if (generation_ && generation_->canary &&
+      generation_->routes_to_canary(hash)) {
+    state.canary_routed = true;
+    route_bank = generation_->canary.get();
+    route_batch = canary_batch_ ? &*canary_batch_ : nullptr;
   }
 
   if (route_batch &&
@@ -356,9 +373,10 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
     // untrained scenario stages nothing (add returns false) and falls
     // through to the inline path, which reports it Unknown immediately.
     state.classify_pending = true;
+    release_handshake(state);
     const std::uint64_t span_parent = spans ? span_scratch_.parent : 0;
     if (spans) state.span_last = span_parent;
-    pending_.push_back({key, decoded.timestamp_us, span_parent});
+    pending_.push_back({id, decoded.timestamp_us, span_parent});
     if (pending_.size() >= options_.classify_batch) classify_pending_flush();
     return;
   }
@@ -366,13 +384,15 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
       route_bank ? route_bank->classify(handshake, *state.provider,
                                         &obs_->profiler, slot_, spans)
                  : PlatformPrediction{};
+  release_handshake(state);
   if (spans) state.span_last = span_scratch_.parent;
-  apply_prediction(state, prediction, decoded.timestamp_us);
+  apply_prediction(flow, prediction, decoded.timestamp_us);
 }
 
-void VideoFlowPipeline::apply_prediction(FlowState& state,
+void VideoFlowPipeline::apply_prediction(Flows::Record& flow,
                                          const PlatformPrediction& prediction,
                                          std::uint64_t ts_us) {
+  FlowRecord& state = flow.value;
   switch (prediction.outcome) {
     case telemetry::Outcome::Composite:
       obs_->classified_composite.add(slot_);
@@ -387,7 +407,7 @@ void VideoFlowPipeline::apply_prediction(FlowState& state,
   if (ring_ && state.traced) {
     obs::TraceEvent event;
     event.ts_us = ts_us;
-    event.flow_hash = state.flow_hash;
+    event.flow_hash = flow.hash;
     event.kind = obs::TraceEventKind::Classified;
     event.os = prediction.device
                    ? static_cast<std::uint8_t>(*prediction.device)
@@ -428,15 +448,14 @@ void VideoFlowPipeline::classify_pending_flush() {
       [this, batch_start_ns](std::uint64_t cookie,
                              const PlatformPrediction& prediction) {
         const PendingFlow& pending = pending_[cookie];
-        const auto it = flows_.find(pending.key);
-        if (it == flows_.end()) return;  // unreachable: flush precedes erase
-        FlowState& state = it->second;
+        Flows::Record& flow = flows_[pending.flow];
+        FlowRecord& state = flow.value;
         state.classify_pending = false;
         if (span_ring_ && state.span_traced)
           state.span_last = span_ring_->record(
-              obs::SpanKind::Classify, state.flow_hash, pending.span_parent,
+              obs::SpanKind::Classify, flow.hash, pending.span_parent,
               batch_start_ns, obs::tick_now_ns(), adopted_model_gen_);
-        apply_prediction(state, prediction, pending.ts_us);
+        apply_prediction(flow, prediction, pending.ts_us);
       };
   if (stable_staged) batch_->classify(emit);
   if (canary_staged) canary_batch_->classify(emit);
@@ -447,18 +466,19 @@ void VideoFlowPipeline::on_volume_sample(const net::FlowKey& key,
                                          std::uint64_t ts_us,
                                          std::uint64_t bytes_down,
                                          std::uint64_t bytes_up) {
-  const auto it = flows_.find(key);
-  if (it == flows_.end()) return;
-  if (options_.max_flows > 0) touch_lru(it->second);
-  if (bytes_down) it->second.counters.add_down(ts_us, bytes_down);
-  if (bytes_up) it->second.counters.add_up(ts_us, bytes_up);
+  const FlowId id = flows_.find(key, net::FlowKeyHash{}(key));
+  if (id == Flows::kNone) return;
+  if (options_.max_flows > 0) flows_.touch(id);
+  FlowRecord& state = flows_[id].value;
+  if (bytes_down) state.counters.add_down(ts_us, bytes_down);
+  if (bytes_up) state.counters.add_up(ts_us, bytes_up);
 }
 
-void VideoFlowPipeline::finalize(const net::FlowKey& key, FlowState& state) {
-  (void)key;
+void VideoFlowPipeline::finalize(Flows::Record& flow) {
+  FlowRecord& state = flow.value;
   if (!state.video_counted || !state.provider) return;  // not a video flow
   if (ring_ && state.traced)
-    trace_push(obs::TraceEventKind::Finalized, state.counters.last_us, state);
+    trace_push(obs::TraceEventKind::Finalized, state.counters.last_us, flow);
   telemetry::SessionRecord record;
   record.provider = *state.provider;
   record.transport = state.transport;
@@ -487,7 +507,7 @@ void VideoFlowPipeline::finalize(const net::FlowKey& key, FlowState& state) {
     }
     if (span)
       state.span_last = span_ring_->record(
-          obs::SpanKind::Sink, state.flow_hash, state.span_last, t_sink,
+          obs::SpanKind::Sink, flow.hash, state.span_last, t_sink,
           obs::tick_now_ns(), adopted_model_gen_);
   }
 }
@@ -495,16 +515,15 @@ void VideoFlowPipeline::finalize(const net::FlowKey& key, FlowState& state) {
 void VideoFlowPipeline::flush_idle(std::uint64_t now_us,
                                    std::uint64_t idle_timeout_us) {
   classify_pending_flush();
-  for (auto it = flows_.begin(); it != flows_.end();) {
+  // Slab order: erasing a record never moves another one.
+  for (FlowId id = 0; id < flows_.slab_size(); ++id) {
+    Flows::Record& flow = flows_[id];
     // idle_us clamps a non-monotonic clock (now behind last_seen) to zero
     // idle, and — unlike the additive `last + timeout <= now` form — cannot
     // wrap when a hostile timestamp pushes last_us near 2^64.
-    if (it->second.counters.idle_us(now_us) >= idle_timeout_us) {
-      if (options_.max_flows > 0) lru_.erase(it->second.lru_it);
-      finalize(it->first, it->second);
-      it = flows_.erase(it);
-    } else {
-      ++it;
+    if (flow.live && flow.value.counters.idle_us(now_us) >= idle_timeout_us) {
+      finalize(flow);
+      erase_flow(id);
     }
   }
   sync_flows_active();
@@ -512,9 +531,11 @@ void VideoFlowPipeline::flush_idle(std::uint64_t now_us,
 
 void VideoFlowPipeline::flush_all() {
   classify_pending_flush();
-  for (auto& [key, state] : flows_) finalize(key, state);
+  for (FlowId id = 0; id < flows_.slab_size(); ++id)
+    if (flows_[id].live) finalize(flows_[id]);
   flows_.clear();
-  lru_.clear();
+  handshakes_.clear();
+  free_handshakes_.clear();
   sync_flows_active();
 }
 

@@ -12,18 +12,17 @@
 #pragma once
 
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/handshake.hpp"
 #include "obs/pipeline_obs.hpp"
 #include "pipeline/classifier_bank.hpp"
 #include "pipeline/drift.hpp"
+#include "pipeline/flow_table.hpp"
 #include "pipeline/model_lifecycle.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -82,8 +81,9 @@ struct PipelineOptions {
   /// lab setting). Under a handshake flood the table never exceeds this.
   std::size_t max_flows = 0;
   enum class Eviction : std::uint8_t {
-    /// Evict the longest-idle flow (intrusive LRU over arrival order) to
-    /// make room; its session record leaves through the normal sink path.
+    /// Evict the longest-idle flow (intrusive LRU over packet arrival
+    /// order) to make room; its session record leaves through the normal
+    /// sink path.
     LruIdle,
     /// Keep established flows, refuse to admit new ones while full.
     RejectNew,
@@ -198,49 +198,63 @@ class VideoFlowPipeline {
   std::size_t active_flows() const { return flows_.size(); }
 
  private:
-  struct FlowState {
-    core::HandshakeExtractor extractor;
+  static constexpr std::uint32_t kNoHandshake = 0xffffffffu;
+
+  /// What a payload packet of a tracked flow touches, plus the verdict its
+  /// session record carries (DESIGN.md §5m). The handshake extractor lives
+  /// in a separate cold slot (handshakes_) until the flow has its verdict.
+  struct FlowRecord {
     telemetry::FlowCounters counters;
-    std::optional<net::IpAddr> client_addr;
+    net::IpAddr client_addr;
     std::uint16_t client_port = 0;
-    std::optional<fingerprint::Provider> provider;
-    std::optional<PlatformPrediction> prediction;
-    /// Staged in the deferred-classification batch, descent not yet run.
-    bool classify_pending = false;
-    /// This flow's classification was served by the canary bank.
-    bool canary_routed = false;
+    /// Index into handshakes_ while the handshake is still being parsed;
+    /// kNoHandshake once the flow has its verdict (inline or staged) or is
+    /// known not to be a video flow — no later packet is fed.
+    std::uint32_t handshake = kNoHandshake;
     fingerprint::Transport transport = fingerprint::Transport::Tcp;
-    std::string sni;
-    bool video_counted = false;
-    /// Position in lru_; only maintained when options_.max_flows > 0.
-    std::list<net::FlowKey>::iterator lru_it;
-    /// FlowKeyHash of the key; only computed when tracing is enabled.
-    std::uint64_t flow_hash = 0;
-    /// Deterministic 1-in-N sampling decision for this flow.
+    /// Deterministic 1-in-N flow-event trace sampling decision.
     bool traced = false;
     /// Causal span sampling decision (DESIGN.md §5k); independent of the
     /// flow-event trace above.
     bool span_traced = false;
+    /// Staged in the deferred-classification batch, descent not yet run.
+    bool classify_pending = false;
+    /// This flow's classification was served by the canary bank.
+    bool canary_routed = false;
+    bool video_counted = false;
+    std::optional<fingerprint::Provider> provider;
     /// Most recent span recorded for this flow — the parent the next stage
     /// (or the final Sink span) chains from.
     std::uint64_t span_last = 0;
+    std::optional<PlatformPrediction> prediction;
+    std::string sni;
   };
 
-  using FlowMap = std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash>;
+  using Flows = FlowTable<FlowRecord>;
+  using FlowId = Flows::Id;
 
-  void finalize(const net::FlowKey& key, FlowState& state);
+  /// The per-packet path after decode: `key` is the packet's canonical flow
+  /// key and `hash` its FlowKeyHash, computed once by the caller.
+  void process(const net::DecodedPacket& decoded, const net::FlowKey& key,
+               std::uint64_t hash);
+  void finalize(Flows::Record& flow);
+  /// Erases a flow and returns its handshake slot, if it still holds one.
+  void erase_flow(FlowId id);
+  /// Returns a flow's handshake slot to the free list, releasing the
+  /// extractor's buffers.
+  void release_handshake(FlowRecord& state);
   /// Outcome counters, trace event, drift feed, state.prediction store —
   /// shared tail of the inline and deferred classification paths.
-  void apply_prediction(FlowState& state, const PlatformPrediction& prediction,
+  void apply_prediction(Flows::Record& flow,
+                        const PlatformPrediction& prediction,
                         std::uint64_t ts_us);
-  /// Admission control after try_emplace: touches the LRU and, when the
-  /// table exceeds max_flows, evicts the longest-idle flow (or the
-  /// just-admitted one under RejectNew). Returns false when `it` itself was
-  /// rejected and erased. `ts_us` stamps the trace events this may emit.
-  bool admit_flow(FlowMap::iterator it, bool inserted, std::uint64_t ts_us);
-  void touch_lru(FlowState& state);
+  /// Admission control after insert: touches the LRU and, when the table
+  /// exceeds max_flows, evicts the longest-idle flow (or the just-admitted
+  /// one under RejectNew). Returns false when `id` itself was rejected and
+  /// erased. `ts_us` stamps the trace events this may emit.
+  bool admit_flow(FlowId id, bool inserted, std::uint64_t ts_us);
   void trace_push(obs::TraceEventKind kind, std::uint64_t ts_us,
-                  const FlowState& state);
+                  const Flows::Record& flow);
   /// Keeps the vpscope_flows_active gauge in sync after table mutations.
   void sync_flows_active() {
     obs_->flows_active.set(slot_,
@@ -271,7 +285,9 @@ class VideoFlowPipeline {
   /// model it carried — it compares against this plain member instead.
   std::uint64_t adopted_model_gen_ = 0;
   struct PendingFlow {
-    net::FlowKey key;
+    /// Staged flows are never erased before the batch resolves (every
+    /// erase path flushes it first), so the id stays valid.
+    FlowId flow = Flows::kNone;
     std::uint64_t ts_us = 0;  // staging time, stamps the trace event
     /// Parent for the flow's deferred Classify span (its Encode span id).
     std::uint64_t span_parent = 0;
@@ -279,9 +295,10 @@ class VideoFlowPipeline {
   std::vector<PendingFlow> pending_;
   DriftMonitor* drift_ = nullptr;
   std::function<void(telemetry::SessionRecord)> sink_;
-  FlowMap flows_;
-  /// Least-recently-touched flow at the front; empty when unbounded.
-  std::list<net::FlowKey> lru_;
+  Flows flows_;
+  /// Cold handshake slots (DESIGN.md §5m), reused through the free list.
+  std::vector<core::HandshakeExtractor> handshakes_;
+  std::vector<std::uint32_t> free_handshakes_;
   /// Owned registry bundle for the standalone case; the sharded front-end
   /// re-points obs_ at its shared bundle via bind_obs().
   std::shared_ptr<obs::PipelineObs> owned_obs_;

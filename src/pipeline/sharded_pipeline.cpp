@@ -276,12 +276,12 @@ void ShardedPipeline::count_drop(AdmissionClass cls) {
 void ShardedPipeline::shed_staged(Shard& shard, Item& item) {
   // The admission class is only evaluated here, at the moment a drop has to
   // be attributed — never on the Block-mode fast path.
-  const AdmissionClass cls = eval_admission_class(*item.decoded);
+  const AdmissionClass cls = eval_admission_class(item.decoded);
   count_drop(cls);
-  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded->flow_key());
+  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded.flow_key());
   if (auto* ring = obs_->ring(shard.index); ring && ring->sampled(hash)) {
     obs::TraceEvent event;
-    event.ts_us = item.decoded->timestamp_us;
+    event.ts_us = item.decoded.timestamp_us;
     event.flow_hash = hash;
     event.kind = obs::TraceEventKind::Shed;
     event.outcome = static_cast<std::uint8_t>(cls);
@@ -345,7 +345,7 @@ void ShardedPipeline::flush_shard(Shard& shard) {
         }
         if (shed_mode) {
           if (!have_grace) {
-            grace = eval_admission_class(*item.decoded) ==
+            grace = eval_admission_class(item.decoded) ==
                             AdmissionClass::Handshake
                         ? options_.handshake_grace_us
                         : options_.payload_grace_us;
@@ -444,11 +444,12 @@ void ShardedPipeline::on_packet(net::Packet&& packet) {
   Item item;
   item.kind = Item::Kind::Packet;
   item.packet = std::move(packet);
+  bool decoded;
   {
     obs::ScopedTimer timer(&obs_->profiler, obs::Stage::Parse, dslot);
-    item.decoded = net::decode(item.packet);
+    decoded = net::decode_into(item.packet, item.decoded);
   }
-  if (!item.decoded) {
+  if (!decoded) {
     obs_->packets_non_ip.add(dslot);  // rejected at decode = handled
     capture_mark_ns_ = 0;
     maybe_export();
@@ -458,7 +459,7 @@ void ShardedPipeline::on_packet(net::Packet&& packet) {
   // Stage for the next bulk handover. The admission class is NOT computed
   // here: under Block-mode dispatch no decision ever needs it, and the shed
   // paths evaluate it lazily at drop time (shed_staged / the grace wait).
-  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded->flow_key());
+  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded.flow_key());
   Shard& shard = *shards_[hash % shards_.size()];
   if (spanning) {
     if (obs_->span_sampled(hash)) {
@@ -789,11 +790,11 @@ void ShardedPipeline::worker_loop(Shard& shard) {
               if (obs::SpanRing* sring = obs_->span_ring(shard.index))
                 shard.pipe.set_packet_span_parent(sring->record(
                     obs::SpanKind::Queue,
-                    net::FlowKeyHash{}(item.decoded->flow_key()),
+                    net::FlowKeyHash{}(item.decoded.flow_key()),
                     item.span_parent, item.enqueue_ns, obs::tick_now_ns(),
                     0));
             }
-            shard.pipe.on_decoded(*item.decoded);
+            shard.pipe.on_decoded(item.decoded);
             // Release the packet buffer before signalling completion so
             // drain() observers never race the deallocation.
             item = Item{};

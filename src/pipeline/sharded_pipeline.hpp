@@ -304,11 +304,12 @@ class ShardedPipeline {
       Stop,
     };
     Kind kind = Kind::Packet;
-    // Kind::Packet: the owned raw bytes plus the dispatch-time decode. The
-    // decoded views borrow from packet.data's heap buffer, which is stable
-    // across the moves in and out of the ring.
+    // Kind::Packet: the owned raw bytes plus the dispatch-time decode (only
+    // packets that decode are enqueued). The decoded views borrow from
+    // packet.data's heap buffer, which is stable across the moves in and
+    // out of the ring.
     net::Packet packet;
-    std::optional<net::DecodedPacket> decoded;
+    net::DecodedPacket decoded;
     // Kind::Volume: (key, ts, down, up). Kind::FlushIdle: (now, idle) in
     // arg0/arg1.
     net::FlowKey key;

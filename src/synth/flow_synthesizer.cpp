@@ -319,7 +319,7 @@ LabeledFlow FlowSynthesizer::synthesize(const StackProfile& base_profile,
     syn.options.sack_permitted = tp.sack_permitted;
     syn.options.timestamps = tp.timestamps;
     syn.options.ts_value = rng_.next_u32();
-    syn.options.kind_order = tp.option_kind_order;
+    syn.options.kind_order.assign(tp.option_kind_order);
     push_client(syn.serialize({}), net::kProtoTcp);
 
     // SYN-ACK (generic server stack — carries no client fingerprint).
@@ -435,21 +435,39 @@ LabeledFlow FlowSynthesizer::synthesize(const StackProfile& base_profile,
       udata.src_port = flow.server_port;
       udata.dst_port = flow.client_port;
 
-      net::Ipv4Header ip;
-      ip.ttl = 57;
-      ip.src = flow.server_ip;
-      ip.dst = flow.client_ip;
-      ip.protocol = profile.transport == Transport::Tcp ? net::kProtoTcp
-                                                        : net::kProtoUdp;
-      // total_length reports the full (untruncated) datagram size, capped at
-      // the IPv4 maximum; bytes beyond one MTU per packet are accumulated by
-      // the telemetry layer across the emitted packets.
-      ip.total_length = static_cast<std::uint16_t>(
-          std::min<std::uint64_t>(bytes_per_emit, 65535));
+      const std::uint8_t proto = profile.transport == Transport::Tcp
+                                     ? net::kProtoTcp
+                                     : net::kProtoUdp;
+      // The IP header reports the full (untruncated) datagram size, capped
+      // at the IPv4 maximum for both families so a flow's volume does not
+      // depend on its address family; bytes beyond one MTU per packet are
+      // accumulated by the telemetry layer across the emitted packets.
+      const std::uint64_t datagram_size =
+          std::min<std::uint64_t>(bytes_per_emit, 65535);
       const Bytes transport_hdr = profile.transport == Transport::Tcp
                                       ? data.serialize({})
                                       : udata.serialize({});
-      flow.packets.push_back({now, ip.serialize(transport_hdr)});
+      if (options.ipv6) {
+        net::Ipv6Header ip;
+        ip.hop_limit = 57;
+        ip.next_header = proto;
+        ip.src = flow.server_ip;
+        ip.dst = flow.client_ip;
+        // 0 would mean "size of the captured payload".
+        ip.payload_length = static_cast<std::uint16_t>(
+            datagram_size > net::Ipv6Header::kSize
+                ? datagram_size - net::Ipv6Header::kSize
+                : 0);
+        flow.packets.push_back({now, ip.serialize(transport_hdr)});
+      } else {
+        net::Ipv4Header ip;
+        ip.ttl = 57;
+        ip.src = flow.server_ip;
+        ip.dst = flow.client_ip;
+        ip.protocol = proto;
+        ip.total_length = static_cast<std::uint16_t>(datagram_size);
+        flow.packets.push_back({now, ip.serialize(transport_hdr)});
+      }
     }
   }
 

@@ -272,6 +272,36 @@ TEST(Ipv6Flows, PipelineClassifiesV6TrafficWithV4TrainedBank) {
             (fingerprint::PlatformId{Os::Windows, Agent::Firefox}));
 }
 
+// An IPv6 flow keeps its payload volume: its payload packets are IPv6 too,
+// and their size comes from payload_length the way an IPv4 packet's comes
+// from total_length. The IPv4 twin differs only by the 20 extra header
+// bytes of each of the two server handshake packets.
+TEST(Ipv6Flows, PayloadVolumeMatchesTheIpv4Twin) {
+  const auto profile = fingerprint::make_profile(
+      {Os::Windows, Agent::Firefox}, Provider::Disney, Transport::Tcp);
+  const auto bytes_down = [&profile](bool ipv6) -> std::uint64_t {
+    synth::FlowSynthesizer synth(Rng(13));
+    synth::FlowOptions options;
+    options.ipv6 = ipv6;
+    options.payload_bytes = 5'000'000;
+    options.payload_duration_us = 60'000'000;
+    const auto flow = synth.synthesize(profile, options);
+    pipeline::VideoFlowPipeline pipe(nullptr);
+    std::vector<telemetry::SessionRecord> records;
+    pipe.set_sink([&records](telemetry::SessionRecord r) {
+      records.push_back(std::move(r));
+    });
+    for (const auto& packet : flow.packets) pipe.on_packet(packet);
+    pipe.flush_all();
+    EXPECT_EQ(pipe.stats().flows_total, 1u) << "ipv6=" << ipv6;
+    EXPECT_EQ(records.size(), 1u) << "ipv6=" << ipv6;
+    return records.empty() ? 0 : records.front().counters.bytes_down;
+  };
+  const std::uint64_t v4 = bytes_down(false);
+  EXPECT_EQ(v4, 5'000'188u);
+  EXPECT_EQ(bytes_down(true), v4 + 2 * 20);
+}
+
 TEST(Ipv6Flows, QuicOverV6RoundTrips) {
   Rng rng(12);
   synth::FlowSynthesizer synth(rng);

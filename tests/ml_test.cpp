@@ -167,6 +167,34 @@ TEST(DecisionTree, ImportancesFavorInformativeFeature) {
 
 // ---- Random forest ----
 
+// Stored feature/child fields are index + 1; a field above INT_MAX must be
+// rejected before the narrowing `- 1` (signed overflow, an abort under the
+// non-recovering UBSan lane) — the fuzz lane's model-bundle mutants hit it.
+TEST(DecisionTree, DeserializeRejectsIndexFieldsAboveIntMax) {
+  const auto one_node = [](std::uint32_t feature, std::uint32_t left,
+                           std::uint32_t right) {
+    Writer w;
+    w.u32(1);  // num_features
+    w.u32(1);  // node count
+    w.u32(feature);
+    w.u64(0);  // threshold
+    w.u32(left);
+    w.u32(right);
+    w.u16(0);  // depth
+    w.u16(0);  // proba count
+    w.u16(0);  // importance count
+    return std::move(w).take();
+  };
+  const auto parse = [](const Bytes& wire) {
+    Reader r(wire);
+    return DecisionTree::deserialize(r);
+  };
+  EXPECT_TRUE(parse(one_node(0, 0, 0)).has_value());  // a lone leaf
+  EXPECT_FALSE(parse(one_node(0x80000000u, 0, 0)).has_value());
+  EXPECT_FALSE(parse(one_node(0, 0x80000000u, 0)).has_value());
+  EXPECT_FALSE(parse(one_node(0, 0, 0xffffffffu)).has_value());
+}
+
 TEST(RandomForest, SeparatesBlobs) {
   const Dataset train = make_blobs(60, 5, 3, 10, 2.0, 4);
   const Dataset test = make_blobs(20, 5, 3, 10, 2.0, 5);
@@ -412,6 +440,33 @@ TEST(CompiledForest, PredictProbaIntoAllocatesNothingInSteadyState) {
     f.compiled.predict_with_confidence(x, scratch);
   }
   EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed), before);
+}
+
+// Trees with more than 64 leaves have leaf positions past the 64-bit leaf
+// mask: compiling them must reach the traversal fallback without shifting
+// by 64 or more on the way (UB the batch lane's deep forest used to hit).
+TEST(CompiledForest, MoreThan64LeavesFallBackWithoutOverlongShift) {
+  Rng rng(0xdeef);
+  Dataset data;
+  for (int i = 0; i < 600; ++i) {
+    std::vector<double> x(16);
+    for (double& v : x) v = rng.uniform01();
+    data.x.push_back(std::move(x));
+    data.y.push_back(rng.uniform_int(0, 7));
+  }
+  RandomForest forest;
+  ForestParams params;
+  params.n_trees = 2;
+  params.max_depth = 32;
+  params.min_samples_split = 2;
+  forest.fit(data, params);
+  const CompiledForest compiled = CompiledForest::compile(forest);
+  EXPECT_FALSE(compiled.uses_bitmask_scorer());
+  std::vector<double> proba(static_cast<std::size_t>(compiled.num_classes()));
+  for (const auto& x : data.x) {
+    compiled.predict_proba_into(x, proba);
+    ASSERT_EQ(proba, forest.predict_proba(x));
+  }
 }
 
 TEST(CompiledForest, UntrainedIsEmpty) {
