@@ -70,24 +70,8 @@ Bytes Ipv4Header::serialize(ByteView payload) const {
 
 std::optional<Ipv4Header> Ipv4Header::parse(ByteView datagram,
                                             std::size_t* header_len) {
-  if (datagram.size() < kMinSize) return std::nullopt;
-  const std::uint8_t version_ihl = datagram[0];
-  if (version_ihl >> 4 != 4) return std::nullopt;
-  const std::size_t ihl = (version_ihl & 0x0f) * std::size_t{4};
-  if (ihl < kMinSize || datagram.size() < ihl) return std::nullopt;
-
-  Ipv4Header h;
-  h.dscp_ecn = datagram[1];
-  h.total_length = static_cast<std::uint16_t>(datagram[2] << 8 | datagram[3]);
-  h.identification = static_cast<std::uint16_t>(datagram[4] << 8 | datagram[5]);
-  h.dont_fragment = (datagram[6] & 0x40) != 0;
-  h.ttl = datagram[8];
-  h.protocol = datagram[9];
-  for (int i = 0; i < 4; ++i) {
-    h.src.bytes[static_cast<std::size_t>(i)] = datagram[static_cast<std::size_t>(12 + i)];
-    h.dst.bytes[static_cast<std::size_t>(i)] = datagram[static_cast<std::size_t>(16 + i)];
-  }
-  if (header_len) *header_len = ihl;
+  std::optional<Ipv4Header> h(std::in_place);
+  if (!parse_into(datagram, *h, header_len)) h.reset();
   return h;
 }
 
@@ -109,23 +93,8 @@ Bytes Ipv6Header::serialize(ByteView payload) const {
 
 std::optional<Ipv6Header> Ipv6Header::parse(ByteView datagram,
                                             std::size_t* header_len) {
-  if (datagram.size() < kSize) return std::nullopt;
-  if (datagram[0] >> 4 != 6) return std::nullopt;
-  Ipv6Header h;
-  h.traffic_class =
-      static_cast<std::uint8_t>((datagram[0] & 0x0f) << 4 | datagram[1] >> 4);
-  h.flow_label = static_cast<std::uint32_t>(datagram[1] & 0x0f) << 16 |
-                 static_cast<std::uint32_t>(datagram[2]) << 8 | datagram[3];
-  h.payload_length =
-      static_cast<std::uint16_t>(datagram[4] << 8 | datagram[5]);
-  h.next_header = datagram[6];
-  h.hop_limit = datagram[7];
-  h.src.is_v6 = h.dst.is_v6 = true;
-  for (int i = 0; i < 16; ++i) {
-    h.src.bytes[static_cast<std::size_t>(i)] = datagram[static_cast<std::size_t>(8 + i)];
-    h.dst.bytes[static_cast<std::size_t>(i)] = datagram[static_cast<std::size_t>(24 + i)];
-  }
-  if (header_len) *header_len = kSize;
+  std::optional<Ipv6Header> h(std::in_place);
+  if (!parse_into(datagram, *h, header_len)) h.reset();
   return h;
 }
 

@@ -74,8 +74,13 @@ struct Ipv4Header {
   /// Serializes header + payload with computed checksum and total length.
   Bytes serialize(ByteView payload) const;
 
-  /// Parses the header; returns nullopt on truncation/garbage. On success
-  /// `header_len` reports where the payload begins.
+  /// Parses the header into `out`; false when the datagram is not IPv4,
+  /// shorter than 20 bytes, or its IHL is below 5 words or beyond the
+  /// capture. On success `header_len` reports where the payload begins.
+  /// The one IPv4 parser: net::decode_into calls it in place, parse()
+  /// wraps it.
+  static bool parse_into(ByteView datagram, Ipv4Header& out,
+                         std::size_t* header_len);
   static std::optional<Ipv4Header> parse(ByteView datagram,
                                          std::size_t* header_len);
 };
@@ -94,8 +99,58 @@ struct Ipv6Header {
   IpAddr dst;
 
   Bytes serialize(ByteView payload) const;
+
+  /// Parses the fixed header into `out`; false when the datagram is not
+  /// IPv6 or shorter than 40 bytes. Extension headers are not walked:
+  /// `header_len` is always 40. net::decode_into calls it in place,
+  /// parse() wraps it.
+  static bool parse_into(ByteView datagram, Ipv6Header& out,
+                         std::size_t* header_len);
   static std::optional<Ipv6Header> parse(ByteView datagram,
                                          std::size_t* header_len);
 };
+
+// The two IP parsers are inline so decode_into's local header folds into
+// the fields it copies out; out of line they cost a third of a decode.
+
+inline bool Ipv4Header::parse_into(ByteView datagram, Ipv4Header& h,
+                                   std::size_t* header_len) {
+  if (datagram.size() < kMinSize) return false;
+  const std::uint8_t* p = datagram.data();
+  if (p[0] >> 4 != 4) return false;
+  const std::size_t ihl = (p[0] & 0x0f) * std::size_t{4};
+  if (ihl < kMinSize || datagram.size() < ihl) return false;
+
+  h.dscp_ecn = p[1];
+  h.total_length = static_cast<std::uint16_t>(p[2] << 8 | p[3]);
+  h.identification = static_cast<std::uint16_t>(p[4] << 8 | p[5]);
+  h.dont_fragment = (p[6] & 0x40) != 0;
+  h.ttl = p[8];
+  h.protocol = p[9];
+  h.src = IpAddr{};
+  h.dst = IpAddr{};
+  std::memcpy(h.src.bytes.data(), p + 12, 4);
+  std::memcpy(h.dst.bytes.data(), p + 16, 4);
+  if (header_len) *header_len = ihl;
+  return true;
+}
+
+inline bool Ipv6Header::parse_into(ByteView datagram, Ipv6Header& h,
+                                   std::size_t* header_len) {
+  if (datagram.size() < kSize) return false;
+  const std::uint8_t* p = datagram.data();
+  if (p[0] >> 4 != 6) return false;
+  h.traffic_class = static_cast<std::uint8_t>((p[0] & 0x0f) << 4 | p[1] >> 4);
+  h.flow_label = static_cast<std::uint32_t>(p[1] & 0x0f) << 16 |
+                 static_cast<std::uint32_t>(p[2]) << 8 | p[3];
+  h.payload_length = static_cast<std::uint16_t>(p[4] << 8 | p[5]);
+  h.next_header = p[6];
+  h.hop_limit = p[7];
+  h.src.is_v6 = h.dst.is_v6 = true;
+  std::memcpy(h.src.bytes.data(), p + 8, 16);
+  std::memcpy(h.dst.bytes.data(), p + 24, 16);
+  if (header_len) *header_len = kSize;
+  return true;
+}
 
 }  // namespace vpscope::net

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 namespace vpscope::net {
 
@@ -87,37 +86,35 @@ FlowKey DecodedPacket::flow_key(bool* from_a_to_b) const {
 bool decode_into(const Packet& packet, DecodedPacket& out) {
   const ByteView raw{packet.data};
   if (raw.empty()) return false;
-  const std::uint8_t* p = raw.data();
   out.timestamp_us = packet.timestamp_us;
 
   std::size_t ip_hlen = 0;
   std::size_t claimed = 0;  // datagram length per the IP header
-  const int version = p[0] >> 4;
-  if (version == 4) {
-    ip_hlen = (p[0] & 0x0f) * std::size_t{4};
-    if (raw.size() < Ipv4Header::kMinSize || ip_hlen < Ipv4Header::kMinSize ||
-        raw.size() < ip_hlen)
+  switch (raw[0] >> 4) {
+    case 4: {
+      Ipv4Header ip;
+      if (!Ipv4Header::parse_into(raw, ip, &ip_hlen)) return false;
+      out.is_v6 = false;
+      out.ttl = ip.ttl;
+      out.protocol = ip.protocol;
+      out.src = ip.src;
+      out.dst = ip.dst;
+      claimed = ip.total_length;
+      break;
+    }
+    case 6: {
+      Ipv6Header ip;
+      if (!Ipv6Header::parse_into(raw, ip, &ip_hlen)) return false;
+      out.is_v6 = true;
+      out.ttl = ip.hop_limit;
+      out.protocol = ip.next_header;
+      out.src = ip.src;
+      out.dst = ip.dst;
+      claimed = Ipv6Header::kSize + std::size_t{ip.payload_length};
+      break;
+    }
+    default:
       return false;
-    out.is_v6 = false;
-    out.ttl = p[8];
-    out.protocol = p[9];
-    out.src = IpAddr{};
-    out.dst = IpAddr{};
-    std::memcpy(out.src.bytes.data(), p + 12, 4);
-    std::memcpy(out.dst.bytes.data(), p + 16, 4);
-    claimed = static_cast<std::size_t>(p[2] << 8 | p[3]);
-  } else if (version == 6) {
-    if (raw.size() < Ipv6Header::kSize) return false;
-    ip_hlen = Ipv6Header::kSize;
-    out.is_v6 = true;
-    out.ttl = p[7];  // hop limit
-    out.protocol = p[6];
-    out.src.is_v6 = out.dst.is_v6 = true;
-    std::memcpy(out.src.bytes.data(), p + 8, 16);
-    std::memcpy(out.dst.bytes.data(), p + 24, 16);
-    claimed = Ipv6Header::kSize + static_cast<std::size_t>(p[4] << 8 | p[5]);
-  } else {
-    return false;
   }
   // Snap-length semantics: a capture may truncate the packet while the IP
   // header still reports the original datagram length — volumetric

@@ -65,10 +65,11 @@ struct DecodedPacket {
   FlowKey flow_key(bool* from_a_to_b = nullptr) const;
 };
 
-/// Decodes a raw IP packet into the caller-owned `out`, reading the IP and
-/// transport headers at their fixed offsets. Returns false for non-IP,
-/// truncated, or non-TCP/UDP datagrams (the pipeline ignores those anyway);
-/// `out` is then unspecified. Nothing is allocated. `ip_packet_size` is the
+/// Decodes a raw IP packet into the caller-owned `out` through the one
+/// parser per header (Ipv4Header/Ipv6Header, then TcpHeader/UdpHeader
+/// parse_into). Returns false for non-IP, truncated, or non-TCP/UDP
+/// datagrams (the pipeline ignores those anyway); `out` is then
+/// unspecified. Nothing is allocated. `ip_packet_size` is the
 /// larger of the captured length and the length the IP header claims
 /// (IPv4 total_length, IPv6 40 + payload_length), because a snap-length
 /// capture keeps only the headers of a full-size datagram.

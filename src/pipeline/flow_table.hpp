@@ -11,12 +11,13 @@
 // packet and reuse the value for sampling and routing.
 //
 // Slab: records addressed by 32-bit ids that stay valid until the record is
-// erased, a LIFO free list threaded through erased records, and an
-// intrusive doubly linked list in admission/touch order whose front is the
-// least recently touched flow (capacity eviction).
+// erased or the table compacted, a LIFO free list threaded through erased
+// records, and an intrusive doubly linked list in admission/touch order
+// whose front is the least recently touched flow (capacity eviction). Walks
+// over the table follow that list, so they cost O(live) however large the
+// table once was; compact() gives a drained burst's memory back.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -129,14 +130,28 @@ class FlowTable {
 
   /// The least recently admitted or touched live record, or kNone.
   Id lru_front() const { return head_; }
+  /// The live record after `id` in LRU order, or kNone. Read it before
+  /// erasing `id` to walk while erasing.
+  Id lru_next(Id id) const { return slab_[id].next; }
 
-  /// Drops every record; the index and slab keep their capacity.
-  void clear() {
-    slab_.clear();
-    std::fill(slots_.begin(), slots_.end(), Slot{});
+  /// Renumbers the live records 0..size()-1 in LRU order, frees the rest of
+  /// the slab and rebuilds the index at the capacity size() inserts would
+  /// have grown it to. Every id changes: the caller may hold none.
+  void compact() {
+    std::vector<Record> slab;
+    slab.reserve(size_);
+    for (Id id = head_; id != kNone; id = slab_[id].next)
+      slab.push_back(std::move(slab_[id]));
+    slab_.swap(slab);
     free_ = head_ = tail_ = kNone;
-    size_ = 0;
+    for (Id id = 0; id < slab_.size(); ++id) link_back(id);
+    std::size_t capacity = size_ == 0 ? 0 : 16;
+    while (capacity < size_ * 2) capacity *= 2;
+    reindex(capacity);
   }
+
+  /// Drops every record and frees the index and slab.
+  void clear() { *this = FlowTable{}; }
 
  private:
   struct Slot {
@@ -154,13 +169,15 @@ class FlowTable {
     return i;
   }
 
-  void grow() {
-    const std::size_t capacity = slots_.empty() ? 16 : slots_.size() * 2;
-    std::vector<Slot> old(capacity);
-    old.swap(slots_);
-    shift_ = 64 - std::countr_zero(capacity);
-    for (const Slot& s : old)
-      if (s.id != kNone) slots_[empty_slot(s.hash)] = s;
+  void grow() { reindex(slots_.empty() ? 16 : slots_.size() * 2); }
+
+  /// Rebuilds the index with `capacity` slots (0, or a power of two) from
+  /// the live records' stored hashes.
+  void reindex(std::size_t capacity) {
+    std::vector<Slot>(capacity).swap(slots_);
+    shift_ = capacity == 0 ? 64 : 64 - std::countr_zero(capacity);
+    for (Id id = head_; id != kNone; id = slab_[id].next)
+      slots_[empty_slot(slab_[id].hash)] = Slot{slab_[id].hash, id};
   }
 
   void link_back(Id id) {

@@ -25,6 +25,11 @@ bool iends_with(std::string_view s, std::string_view suffix) {
   return true;
 }
 
+/// Video flows ride HTTPS; anything else never enters the flow table.
+bool rides_https(const net::DecodedPacket& decoded) {
+  return decoded.src_port() == 443 || decoded.dst_port() == 443;
+}
+
 }  // namespace
 
 std::optional<Provider> provider_from_sni(std::string_view sni) {
@@ -194,22 +199,15 @@ void VideoFlowPipeline::on_packet(const net::Packet& packet) {
     return;
   }
   obs_->packets_completed.add(slot_);
-  // Video flows ride HTTPS; anything else never enters the flow table.
-  const bool https = decoded.src_port() == 443 || decoded.dst_port() == 443;
-  if (!https && !span_ring_) return;
+  // Packets on_decoded ignores need no key or hash unless spans sample them.
+  if (!span_ring_ && !rides_https(decoded)) return;
   const net::FlowKey key = decoded.flow_key();
   const std::uint64_t hash = net::FlowKeyHash{}(key);
   if (span_ring_ && span_ring_->sampled(hash))
     packet_span_parent_ =
         span_ring_->record(obs::SpanKind::Parse, hash, 0, t_parse,
                            obs::tick_now_ns(), adopted_model_gen_);
-  if (https) process(decoded, key, hash);
-}
-
-void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
-  if (decoded.src_port() != 443 && decoded.dst_port() != 443) return;
-  const net::FlowKey key = decoded.flow_key();
-  process(decoded, key, net::FlowKeyHash{}(key));
+  on_decoded(decoded, key, hash);
 }
 
 void VideoFlowPipeline::release_handshake(FlowRecord& state) {
@@ -258,8 +256,10 @@ bool VideoFlowPipeline::admit_flow(FlowId id, bool inserted,
   return true;
 }
 
-void VideoFlowPipeline::process(const net::DecodedPacket& decoded,
-                                const net::FlowKey& key, std::uint64_t hash) {
+void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded,
+                                   const net::FlowKey& key,
+                                   std::uint64_t hash) {
+  if (!rides_https(decoded)) return;
   const auto [id, inserted] = flows_.insert(key, hash);
   if (inserted) {
     FlowRecord& state = flows_[id].value;
@@ -515,27 +515,50 @@ void VideoFlowPipeline::finalize(Flows::Record& flow) {
 void VideoFlowPipeline::flush_idle(std::uint64_t now_us,
                                    std::uint64_t idle_timeout_us) {
   classify_pending_flush();
-  // Slab order: erasing a record never moves another one.
-  for (FlowId id = 0; id < flows_.slab_size(); ++id) {
+  // LRU order over live flows only; erasing a flow never moves another.
+  for (FlowId id = flows_.lru_front(); id != Flows::kNone;) {
+    const FlowId next = flows_.lru_next(id);
     Flows::Record& flow = flows_[id];
     // idle_us clamps a non-monotonic clock (now behind last_seen) to zero
     // idle, and — unlike the additive `last + timeout <= now` form — cannot
     // wrap when a hostile timestamp pushes last_us near 2^64.
-    if (flow.live && flow.value.counters.idle_us(now_us) >= idle_timeout_us) {
+    if (flow.value.counters.idle_us(now_us) >= idle_timeout_us) {
       finalize(flow);
       erase_flow(id);
     }
+    id = next;
   }
+  compact_after_drain();
   sync_flows_active();
+}
+
+void VideoFlowPipeline::compact_after_drain() {
+  // Below this peak the slab and handshake slots hold under 1 MB, not worth
+  // renumbering for.
+  constexpr std::size_t kMinPeak = 1024;
+  if (flows_.slab_size() < kMinPeak ||
+      flows_.size() * 8 > flows_.slab_size())
+    return;
+  flows_.compact();
+  std::vector<core::HandshakeExtractor> handshakes;
+  for (FlowId id = 0; id < flows_.size(); ++id) {
+    std::uint32_t& slot = flows_[id].value.handshake;
+    if (slot == kNoHandshake) continue;
+    handshakes.push_back(std::move(handshakes_[slot]));
+    slot = static_cast<std::uint32_t>(handshakes.size() - 1);
+  }
+  handshakes_.swap(handshakes);
+  free_handshakes_ = {};
 }
 
 void VideoFlowPipeline::flush_all() {
   classify_pending_flush();
-  for (FlowId id = 0; id < flows_.slab_size(); ++id)
-    if (flows_[id].live) finalize(flows_[id]);
+  for (FlowId id = flows_.lru_front(); id != Flows::kNone;
+       id = flows_.lru_next(id))
+    finalize(flows_[id]);
   flows_.clear();
-  handshakes_.clear();
-  free_handshakes_.clear();
+  handshakes_ = {};
+  free_handshakes_ = {};
   sync_flows_active();
 }
 

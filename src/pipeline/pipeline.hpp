@@ -140,10 +140,14 @@ class VideoFlowPipeline {
   void on_packet(const net::Packet& packet);
   void on_packet(net::Packet&& packet) { on_packet(packet); }
 
-  /// Feeds an already-decoded packet (the sharded front-end decodes once at
-  /// dispatch time). Does NOT bump packets_total/packets_non_ip — the caller
-  /// that performed the decode accounts for those.
-  void on_decoded(const net::DecodedPacket& decoded);
+  /// Feeds an already-decoded packet: the per-packet path after decode.
+  /// `key` is its canonical flow key and `hash` that key's FlowKeyHash,
+  /// computed once by the caller (the sharded front-end decodes and hashes
+  /// at dispatch time to pick the shard). Packets off port 443 are
+  /// ignored. Does NOT bump packets_total/packets_non_ip — the caller that
+  /// performed the decode accounts for those.
+  void on_decoded(const net::DecodedPacket& decoded, const net::FlowKey& key,
+                  std::uint64_t hash);
 
   /// Decimated payload ingestion for large-scale simulation: accounts
   /// `bytes` of downstream volume to an existing flow without materializing
@@ -233,16 +237,16 @@ class VideoFlowPipeline {
   using Flows = FlowTable<FlowRecord>;
   using FlowId = Flows::Id;
 
-  /// The per-packet path after decode: `key` is the packet's canonical flow
-  /// key and `hash` its FlowKeyHash, computed once by the caller.
-  void process(const net::DecodedPacket& decoded, const net::FlowKey& key,
-               std::uint64_t hash);
   void finalize(Flows::Record& flow);
   /// Erases a flow and returns its handshake slot, if it still holds one.
   void erase_flow(FlowId id);
   /// Returns a flow's handshake slot to the free list, releasing the
   /// extractor's buffers.
   void release_handshake(FlowRecord& state);
+  /// Once the table has drained to an eighth of its peak (and the peak was
+  /// worth it), compacts the flow slab and the handshake slots so a burst
+  /// does not keep its memory. Renumbers every flow: nothing may be staged.
+  void compact_after_drain();
   /// Outcome counters, trace event, drift feed, state.prediction store —
   /// shared tail of the inline and deferred classification paths.
   void apply_prediction(Flows::Record& flow,

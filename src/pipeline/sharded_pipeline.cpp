@@ -278,11 +278,10 @@ void ShardedPipeline::shed_staged(Shard& shard, Item& item) {
   // be attributed — never on the Block-mode fast path.
   const AdmissionClass cls = eval_admission_class(item.decoded);
   count_drop(cls);
-  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded.flow_key());
-  if (auto* ring = obs_->ring(shard.index); ring && ring->sampled(hash)) {
+  if (auto* ring = obs_->ring(shard.index); ring && ring->sampled(item.hash)) {
     obs::TraceEvent event;
     event.ts_us = item.decoded.timestamp_us;
-    event.flow_hash = hash;
+    event.flow_hash = item.hash;
     event.kind = obs::TraceEventKind::Shed;
     event.outcome = static_cast<std::uint8_t>(cls);
     ring->push(event);
@@ -459,7 +458,8 @@ void ShardedPipeline::on_packet(net::Packet&& packet) {
   // Stage for the next bulk handover. The admission class is NOT computed
   // here: under Block-mode dispatch no decision ever needs it, and the shed
   // paths evaluate it lazily at drop time (shed_staged / the grace wait).
-  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded.flow_key());
+  item.key = item.decoded.flow_key();
+  const std::uint64_t hash = item.hash = net::FlowKeyHash{}(item.key);
   Shard& shard = *shards_[hash % shards_.size()];
   if (spanning) {
     if (obs_->span_sampled(hash)) {
@@ -789,12 +789,10 @@ void ShardedPipeline::worker_loop(Shard& shard) {
             if (item.span_parent != 0) {
               if (obs::SpanRing* sring = obs_->span_ring(shard.index))
                 shard.pipe.set_packet_span_parent(sring->record(
-                    obs::SpanKind::Queue,
-                    net::FlowKeyHash{}(item.decoded.flow_key()),
-                    item.span_parent, item.enqueue_ns, obs::tick_now_ns(),
-                    0));
+                    obs::SpanKind::Queue, item.hash, item.span_parent,
+                    item.enqueue_ns, obs::tick_now_ns(), 0));
             }
-            shard.pipe.on_decoded(item.decoded);
+            shard.pipe.on_decoded(item.decoded, item.key, item.hash);
             // Release the packet buffer before signalling completion so
             // drain() observers never race the deallocation.
             item = Item{};

@@ -305,13 +305,15 @@ class ShardedPipeline {
     };
     Kind kind = Kind::Packet;
     // Kind::Packet: the owned raw bytes plus the dispatch-time decode (only
-    // packets that decode are enqueued). The decoded views borrow from
-    // packet.data's heap buffer, which is stable across the moves in and
-    // out of the ring.
+    // packets that decode are enqueued), its flow key and that key's
+    // FlowKeyHash, which picked the shard and is reused by the worker. The
+    // decoded views borrow from packet.data's heap buffer, which is stable
+    // across the moves in and out of the ring.
     net::Packet packet;
     net::DecodedPacket decoded;
-    // Kind::Volume: (key, ts, down, up). Kind::FlushIdle: (now, idle) in
-    // arg0/arg1.
+    std::uint64_t hash = 0;
+    // Kind::Packet and Kind::Volume: the flow key. Kind::Volume: (ts, down,
+    // up) in arg0..arg2. Kind::FlushIdle: (now, idle) in arg0/arg1.
     net::FlowKey key;
     std::uint64_t arg0 = 0, arg1 = 0, arg2 = 0;
     // Kind::Packet, span-sampled flows only: the Dispatch span id the

@@ -97,8 +97,9 @@ void expect_matches(const Table& t, const Model& m,
     ASSERT_EQ(t[id].value, value);
   }
   for (const FlowKey& key : absent) {
-    if (!m.values.count(key))
+    if (!m.values.count(key)) {
       ASSERT_EQ(t.find(key, hash_of(key)), Table::kNone);
+    }
   }
   std::vector<FlowKey> order;
   for (Table::Id id = t.lru_front(); id != Table::kNone; id = t[id].next)
@@ -214,13 +215,17 @@ TEST(FlowTable, RandomOpsMatchUnorderedMapAndListModel) {
         break;
       }
     }
-    if (op % 997 == 0) ASSERT_NO_FATAL_FAILURE(expect_matches(t, m, universe));
+    if (op % 997 == 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_matches(t, m, universe));
+    }
   }
   ASSERT_NO_FATAL_FAILURE(expect_matches(t, m, universe));
   t.clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.lru_front(), Table::kNone);
-  for (const FlowKey& k : universe) EXPECT_EQ(t.find(k, hash_of(k)), Table::kNone);
+  for (const FlowKey& k : universe) {
+    EXPECT_EQ(t.find(k, hash_of(k)), Table::kNone);
+  }
 }
 
 TEST(FlowTable, GrowsAcrossDoublingsWithoutLosingKeys) {
@@ -311,6 +316,76 @@ TEST(FlowTable, ErasedIdsAreReusedBeforeTheSlabGrows) {
   }
   EXPECT_EQ(t.slab_size(), 100u);
   EXPECT_EQ(t.size(), 100u);
+}
+
+TEST(FlowTable, CompactRenumbersInLruOrderAndFreesThePeak) {
+  Rng rng(0xc0a);
+  Table t;
+  Model m;
+  std::vector<FlowKey> universe;
+  for (int i = 0; i < 5000; ++i) {
+    universe.push_back(random_key(rng));
+    const auto [id, inserted] = t.insert(universe.back(), hash_of(universe.back()));
+    if (!inserted) continue;
+    t[id].value = static_cast<std::uint64_t>(i);
+    m.insert(universe.back(), static_cast<std::uint64_t>(i));
+  }
+  for (int i = 0; i < 2000; ++i) {  // scramble the LRU order
+    const FlowKey& k = universe[rng.uniform(0, universe.size() - 1)];
+    t.touch(t.find(k, hash_of(k)));
+    m.touch(k);
+  }
+  // Drain to 100 survivors, as an idle flush after a burst would.
+  while (m.values.size() > 100) {
+    const FlowKey& k = universe[rng.uniform(0, universe.size() - 1)];
+    if (!m.values.count(k)) continue;
+    t.erase(t.find(k, hash_of(k)));
+    m.erase(k);
+  }
+  const std::size_t peak = t.slab_size();
+  ASSERT_GE(peak, 4900u);
+  t.compact();
+  ASSERT_NO_FATAL_FAILURE(expect_matches(t, m, universe));
+  EXPECT_EQ(t.slab_size(), 100u);
+  EXPECT_EQ(t.capacity(), 256u);  // the smallest index that holds 100
+  Table::Id expect_id = 0;
+  for (Table::Id id = t.lru_front(); id != Table::kNone; id = t.lru_next(id))
+    EXPECT_EQ(id, expect_id++);
+
+  // The compacted table keeps working: new ids continue the slab, erased
+  // ones are reused, the LRU and index stay consistent.
+  for (int op = 0; op < 20'000; ++op) {
+    const FlowKey& k = universe[rng.uniform(0, universe.size() - 1)];
+    const std::uint64_t h = hash_of(k);
+    const Table::Id id = t.find(k, h);
+    if (id == Table::kNone) {
+      const auto [nid, inserted] = t.insert(k, h);
+      ASSERT_TRUE(inserted);
+      t[nid].value = static_cast<std::uint64_t>(op);
+      m.insert(k, static_cast<std::uint64_t>(op));
+    } else if (rng.bernoulli(0.5)) {
+      t.touch(id);
+      m.touch(k);
+    } else {
+      t.erase(id);
+      m.erase(k);
+    }
+    if (op % 997 == 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_matches(t, m, universe));
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_matches(t, m, universe));
+
+  // Compacting an empty table frees everything; it grows again on demand.
+  for (const auto& [key, value] : m.values) t.erase(t.find(key, hash_of(key)));
+  t.compact();
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.slab_size(), 0u);
+  EXPECT_EQ(t.capacity(), 0u);
+  EXPECT_EQ(t.lru_front(), Table::kNone);
+  EXPECT_EQ(t.find(universe[0], hash_of(universe[0])), Table::kNone);
+  EXPECT_TRUE(t.insert(universe[0], hash_of(universe[0])).second);
+  EXPECT_EQ(t.capacity(), 16u);
 }
 
 // ---- max_flows admission in VideoFlowPipeline ----

@@ -12,6 +12,7 @@
 #include "net/packet.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/sharded_pipeline.hpp"
+#include "synth/dataset.hpp"
 #include "synth/flow_synthesizer.hpp"
 
 namespace vpscope::pipeline {
@@ -157,6 +158,74 @@ TEST(FlushIdle, SurvivesNonMonotonicAndHostileTimestamps) {
   // idle relative to the end of time, the hostile one exactly 100us idle).
   pipe.flush_idle(/*now=*/~std::uint64_t{0}, /*idle=*/100);
   EXPECT_EQ(pipe.active_flows(), 0u);
+}
+
+TEST(FlushIdle, DrainAfterSynFloodKeepsInFlightHandshakes) {
+  // A trained bank, so a handshake that lost or swapped its SYN state on
+  // the way through the drain would change a verdict.
+  const synth::Dataset lab = synth::generate_lab_dataset(42, 0.1);
+  ClassifierBank bank;
+  bank.train(lab);
+  const Provider providers[] = {Provider::YouTube, Provider::Netflix,
+                                Provider::Disney, Provider::Amazon};
+  std::vector<synth::LabeledFlow> legit;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const Provider provider = providers[i % 4];
+    const auto platforms = fingerprint::platforms_for(provider, Transport::Tcp);
+    Rng rng(100 + i);
+    synth::FlowSynthesizer synthesizer(rng);
+    synth::FlowOptions opt;
+    opt.start_time_us = 2'000'000 + i * 1'000;
+    legit.push_back(synthesizer.synthesize(
+        fingerprint::make_profile(platforms[i % platforms.size()], provider,
+                                  Transport::Tcp),
+        opt));
+  }
+  // The eight flows' TCP handshakes (SYN, SYN-ACK, ACK), then the rest.
+  const auto feed_part = [&legit](VideoFlowPipeline& pipe, bool head) {
+    for (const auto& flow : legit)
+      for (std::size_t i = head ? 0 : 3;
+           i < (head ? std::size_t{3} : flow.packets.size()); ++i)
+        pipe.on_packet(flow.packets[i]);
+  };
+
+  std::vector<telemetry::SessionRecord> expected;
+  {
+    VideoFlowPipeline pipe(&bank);
+    pipe.set_sink([&](telemetry::SessionRecord r) { expected.push_back(r); });
+    feed_part(pipe, true);
+    feed_part(pipe, false);
+    pipe.flush_all();
+  }
+  ASSERT_EQ(expected.size(), legit.size());
+
+  // Unbounded table: a 5000-flow SYN flood, the eight flows mid-handshake,
+  // then an idle flush that drains the flood down to those eight — far
+  // below an eighth of the peak, so the table compacts around them.
+  VideoFlowPipeline pipe(&bank);
+  std::vector<telemetry::SessionRecord> records;
+  pipe.set_sink([&](telemetry::SessionRecord r) { records.push_back(r); });
+  constexpr std::uint32_t kFlood = 5000;
+  for (std::uint32_t i = 0; i < kFlood; ++i)
+    pipe.on_packet(campus::make_flood_syn(i, i * 10, /*seed=*/6));
+  feed_part(pipe, true);
+  ASSERT_EQ(pipe.active_flows(), kFlood + legit.size());
+  pipe.flush_idle(/*now=*/2'100'000, /*idle=*/1'000'000);
+  EXPECT_EQ(pipe.active_flows(), legit.size());
+  EXPECT_TRUE(records.empty());  // flood flows never became video flows
+
+  feed_part(pipe, false);
+  pipe.flush_all();
+  EXPECT_EQ(pipe.stats().flows_total, kFlood + legit.size());
+  ASSERT_EQ(records.size(), expected.size());
+  const auto by_start = [](const telemetry::SessionRecord& a,
+                           const telemetry::SessionRecord& b) {
+    return a.counters.first_us < b.counters.first_us;
+  };
+  std::sort(records.begin(), records.end(), by_start);
+  std::sort(expected.begin(), expected.end(), by_start);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    EXPECT_TRUE(records[i] == expected[i]) << records[i].sni;
 }
 
 TEST(SinkErrors, ThrowingSinkIsCountedAndPipelineSurvives) {
