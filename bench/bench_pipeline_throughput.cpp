@@ -25,7 +25,6 @@
 #include "core/handshake.hpp"
 #include "crypto/kernels.hpp"
 #include "ml/compiled_forest.hpp"
-#include "ml/quantized_forest.hpp"
 #include "obs/timer.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/sharded_pipeline.hpp"
@@ -236,8 +235,8 @@ std::pair<int, double> seed_predict_with_confidence(
 
 /// Times the per-flow classification kernel (the paper's random forest)
 /// three ways: the seed path (per-tree probability copies), the current
-/// uncompiled forest (copy-free), and the compiled flat form the pipeline
-/// deploys.
+/// uncompiled forest (copy-free), and the compiled form the pipeline
+/// deploys (the bitmask scorer run on one row).
 ClassifyResult run_classify_kernel() {
   const auto* scenario =
       bench::campus_bank().scenario(Provider::YouTube, Transport::Tcp);
@@ -292,24 +291,21 @@ ClassifyResult run_classify_kernel() {
   return out;
 }
 
-// ---- cross-flow batch + quantized classify microbench (DESIGN.md §5g) --
+// ---- cross-flow batch classify microbench (DESIGN.md §5g) --------------
 
 struct BatchClassifyResult {
   struct Point {
     std::size_t batch = 0;
-    double float_us = 0;      // predict_with_confidence_batch, per flow
-    double quantized_us = 0;  // QuantizedForest::predict_batch, per flow
-    double speedup = 0;       // per-flow compiled / float batched
+    double us = 0;       // predict_with_confidence_batch, per flow
+    double speedup = 0;  // per-flow compiled / batched
   };
   std::vector<Point> points;   // batch sizes 8 / 32 / 128
-  double compiled_us = 0;      // per-flow compiled baseline (same kernel)
-  double quantized_single_us = 0;
+  double compiled_us = 0;      // per-flow compiled baseline (one-row call)
   double batch32_speedup = 0;  // the acceptance-criterion number
 };
 
-/// Times the batched classification kernels against the per-flow compiled
-/// baseline over the same feature rows: the cross-flow SIMD descent at
-/// batch sizes 8/32/128 and the int16 threshold-rank forest, both per flow.
+/// Times the batched classification kernel against the per-flow compiled
+/// baseline over the same feature rows, at batch sizes 8/32/128, per flow.
 BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
   const auto* scenario =
       bench::campus_bank().scenario(Provider::YouTube, Transport::Tcp);
@@ -335,9 +331,6 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
     std::copy(x.begin(), x.end(), matrix.begin() + static_cast<long>(i * dim));
   }
 
-  const ml::QuantizedForest quantized =
-      ml::QuantizedForest::quantize(scenario->platform_model);
-
   constexpr int kRounds = 500;
   constexpr int kReps = 7;
   // us per FLOW (not per call): one timed pass covers all kRows rows in
@@ -352,7 +345,6 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
 
   ml::CompiledForest::Scratch scratch;
   ml::CompiledForest::BatchScratch batch_scratch;
-  ml::QuantizedForest::Scratch qscratch;
   std::vector<int> labels(kRows);
   std::vector<double> confidences(kRows);
   const std::size_t batches[] = {8, 32, 128};
@@ -362,12 +354,9 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
   // randomize every speedup ratio. compiled_us (the run_classify_kernel
   // number) is still reported for continuity with earlier runs.
   double base_us = std::numeric_limits<double>::infinity();
-  double float_us[3], quantized_us[3];
-  std::fill(std::begin(float_us), std::end(float_us),
+  double batch_us[3];
+  std::fill(std::begin(batch_us), std::end(batch_us),
             std::numeric_limits<double>::infinity());
-  std::fill(std::begin(quantized_us), std::end(quantized_us),
-            std::numeric_limits<double>::infinity());
-  double quantized_single_us = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kReps; ++rep) {
     base_us = std::min(base_us, time_us_per_flow([&] {
       for (std::size_t r = 0; r < kRows; ++r)
@@ -378,7 +367,7 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
     }));
     for (std::size_t bi = 0; bi < 3; ++bi) {
       const std::size_t batch = batches[bi];
-      float_us[bi] = std::min(float_us[bi], time_us_per_flow([&] {
+      batch_us[bi] = std::min(batch_us[bi], time_us_per_flow([&] {
         for (std::size_t at = 0; at < kRows; at += batch) {
           const std::size_t n = std::min(batch, kRows - at);
           scenario->platform_compiled.predict_with_confidence_batch(
@@ -388,34 +377,18 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
         }
         benchmark::DoNotOptimize(labels.data());
       }));
-      quantized_us[bi] = std::min(quantized_us[bi], time_us_per_flow([&] {
-        for (std::size_t at = 0; at < kRows; at += batch) {
-          const std::size_t n = std::min(batch, kRows - at);
-          quantized.predict_batch(
-              std::span<const double>(matrix).subspan(at * dim, n * dim), dim,
-              std::span<int>(labels).subspan(at, n), qscratch);
-        }
-        benchmark::DoNotOptimize(labels.data());
-      }));
     }
-    quantized_single_us = std::min(quantized_single_us, time_us_per_flow([&] {
-      for (std::size_t r = 0; r < kRows; ++r)
-        benchmark::DoNotOptimize(quantized.predict(
-            std::span<const double>(matrix).subspan(r * dim, dim), qscratch));
-    }));
   }
 
   out.compiled_us = base_us;
   for (std::size_t bi = 0; bi < 3; ++bi) {
     BatchClassifyResult::Point point;
     point.batch = batches[bi];
-    point.float_us = float_us[bi];
-    point.quantized_us = quantized_us[bi];
-    point.speedup = base_us / point.float_us;
+    point.us = batch_us[bi];
+    point.speedup = base_us / point.us;
     if (point.batch == 32) out.batch32_speedup = point.speedup;
     out.points.push_back(point);
   }
-  out.quantized_single_us = quantized_single_us;
   return out;
 }
 
@@ -588,16 +561,13 @@ void write_json(const SingleThreadResult& single, const ClassifyResult& cls,
        << "  },\n"
        << "  \"batch_classification\": {\n"
        << "    \"compiled_us_per_flow\": " << batch.compiled_us << ",\n"
-       << "    \"quantized_us_per_flow\": " << batch.quantized_single_us
-       << ",\n"
        << "    \"batch32_speedup_vs_per_flow\": " << batch.batch32_speedup
        << ",\n"
        << "    \"batch_sizes\": [\n";
   for (std::size_t i = 0; i < batch.points.size(); ++i) {
     const auto& p = batch.points[i];
     json << "      {\"batch\": " << p.batch
-         << ", \"float_us_per_flow\": " << p.float_us
-         << ", \"quantized_us_per_flow\": " << p.quantized_us
+         << ", \"us_per_flow\": " << p.us
          << ", \"speedup_vs_per_flow\": " << p.speedup << "}"
          << (i + 1 < batch.points.size() ? "," : "") << "\n";
   }
@@ -684,15 +654,13 @@ void report() {
   classify_table.print(std::cout);
 
   const auto batch = run_batch_classify_kernel(cls.compiled_us);
-  TextTable batch_table({"Batched kernel (vs compiled per-flow)", "float us",
-                         "int16 us", "speedup"});
-  batch_table.add_row({"per-flow (batch 1)",
-                       TextTable::num(batch.compiled_us, 2),
-                       TextTable::num(batch.quantized_single_us, 2), "1.00x"});
+  TextTable batch_table(
+      {"Batched kernel (vs compiled per-flow)", "us/flow", "speedup"});
+  batch_table.add_row(
+      {"per-flow (batch 1)", TextTable::num(batch.compiled_us, 2), "1.00x"});
   for (const auto& p : batch.points)
     batch_table.add_row({"batch " + std::to_string(p.batch),
-                         TextTable::num(p.float_us, 2),
-                         TextTable::num(p.quantized_us, 2),
+                         TextTable::num(p.us, 2),
                          TextTable::num(p.speedup, 2) + "x"});
   batch_table.print(std::cout);
 

@@ -1,16 +1,22 @@
-// Post-training compilation of a RandomForest into a flat, cache-friendly
-// layout for the pipeline's hot path: every tree of the forest is lowered
-// into one contiguous node array (feature index, left/right offsets as
-// int32, split threshold) plus one contiguous leaf-probability block, so a
-// classification touches a handful of cache lines instead of chasing
-// per-node heap vectors.
+// Post-training compilation of a RandomForest into the bitmask layout of
+// QuickScorer (Lucchese et al., SIGIR'15) — the one way vpscope scores a
+// forest, for one flow or a batch of them. Every internal node of every
+// tree becomes a (threshold, leaf mask) entry bucketed by feature and
+// sorted by threshold; leaves keep only their nonzero class probabilities.
+//
+// Scoring a row: each tree's leaf-survival mask starts all-ones; every
+// FALSE node (x[feature] > threshold) ANDs away its left subtree's leaves;
+// the reached leaf is the lowest surviving bit. A feature's false nodes are
+// exactly a prefix of its threshold-sorted list, so scoring is a streaming
+// walk with no dependent-load chain, unlike a root-to-leaf traversal.
 //
 // The compiled form is inference-only and probability-equivalent to the
-// source forest: predict_proba_into accumulates the same leaf distributions
-// in the same tree order and divides by the same tree count, so the output
-// is bit-identical to RandomForest::predict_proba. It performs zero heap
-// allocations per call, which is what lets ClassifierBank::classify run on
-// many shard workers without contending on the allocator.
+// source forest: it reaches the same leaf in every tree, accumulates the
+// leaf distributions in tree order and divides by the same tree count, so
+// every output is bit-identical to RandomForest::predict_proba. It performs
+// zero heap allocations per call in steady state, which is what lets
+// ClassifierBank::classify run on many shard workers without contending on
+// the allocator.
 #pragma once
 
 #include <cstdint>
@@ -25,47 +31,39 @@ namespace vpscope::ml {
 
 class CompiledForest {
  public:
-  /// One lowered tree node. Internal nodes (`feature >= 0`) hold absolute
-  /// offsets of both children in the shared node array; leaves
-  /// (`feature < 0`) hold in `left` the offset of their class distribution
-  /// inside the shared leaf-probability block.
-  struct Node {
-    double threshold = 0.0;        // go left if x[feature] <= threshold
-    std::int32_t feature = -1;     // -1 => leaf
-    std::int32_t left = -1;        // child offset, or leaf-block offset
-    std::int32_t right = -1;
-  };
-
-  /// Reusable per-caller state so predict/predict_batch stay allocation-free
-  /// in steady state; one Scratch per thread, never shared.
+  /// Reusable per-caller state so predict_with_confidence stays
+  /// allocation-free in steady state; one Scratch per thread, never shared.
   struct Scratch {
     std::vector<double> proba;
   };
 
-  /// Reusable state for the cross-flow batch kernels (rows x num_classes
-  /// probability staging); one per thread, never shared.
+  /// Reusable state for the batch calls (rows x num_classes probability
+  /// staging); one per thread, never shared.
   struct BatchScratch {
     std::vector<double> proba;
   };
 
-  /// Instruction-set level for the cross-flow batch descent. `Auto` probes
-  /// the CPU at call time (one cached check); the explicit levels exist so
-  /// equivalence tests can force every code path on one machine. All levels
-  /// are bit-identical — the descent only compares doubles (exact in any
-  /// width) and the accumulation order never changes.
-  enum class Simd : std::uint8_t { Auto, Scalar, Sse2, Avx2 };
+  /// Instruction-set level of the batch kernel. `Auto` probes the CPU once
+  /// (cached); the explicit levels exist so equivalence tests can force
+  /// every code path on one machine. All levels are bit-identical — the
+  /// kernels only compare doubles (exact in any width) and the
+  /// accumulation order never changes.
+  enum class Simd : std::uint8_t { Auto, Scalar, Avx2 };
   /// Whether `level` can run on this CPU (Scalar/Auto: always).
   static bool simd_supported(Simd level);
 
   CompiledForest() = default;
 
   /// Lowers a trained forest. The source forest is not referenced after
-  /// compile returns.
+  /// compile returns. Throws std::invalid_argument on a split threshold
+  /// that is NaN or infinite, on a child index out of range and on a cycle:
+  /// the sorted-threshold prefix walk is only exact for finite thresholds.
   static CompiledForest compile(const RandomForest& forest);
 
   /// Mean leaf distribution across trees, written into `out`
-  /// (`out.size() == num_classes()`). Bit-identical to
-  /// RandomForest::predict_proba and allocation-free.
+  /// (`out.size() == num_classes()`): the batch kernel run on one row.
+  /// Bit-identical to RandomForest::predict_proba and allocation-free in
+  /// steady state.
   void predict_proba_into(std::span<const double> x,
                           std::span<double> out) const;
 
@@ -74,13 +72,10 @@ class CompiledForest {
   std::pair<int, double> predict_with_confidence(std::span<const double> x,
                                                  Scratch& scratch) const;
 
-  /// Cross-flow batch inference over a contiguous row-major feature matrix
-  /// of `rows = matrix.size() / dim` flows: every tree is descended for a
-  /// group of flows at once (SoA node arrays, lane = flow), so the tree's
-  /// upper levels stay cache-hot across the group and the compare/select
-  /// step vectorizes. `out` receives rows x num_classes probabilities,
-  /// bit-identical per row to predict_proba_into on that row, at every Simd
-  /// level.
+  /// Batch inference over a contiguous row-major feature matrix of
+  /// `rows = matrix.size() / dim` flows. `out` receives rows x num_classes
+  /// probabilities, bit-identical per row to predict_proba_into on that
+  /// row, at every Simd level.
   void predict_proba_batch(std::span<const double> matrix, std::size_t dim,
                            std::span<double> out,
                            Simd level = Simd::Auto) const;
@@ -101,82 +96,54 @@ class CompiledForest {
   /// Convenience over the (non-contiguous) Dataset container.
   std::vector<int> predict_batch(const Dataset& data) const;
 
-  bool trained() const { return !roots_.empty(); }
-  /// Whether the batch path scores via leaf bitmasks (every tree has <= 64
-  /// leaves) or falls back to the traversal kernels. Exposed so tests can
-  /// pin coverage of both paths.
-  bool uses_bitmask_scorer() const { return qs_ok_; }
+  bool trained() const { return !tree_word_.empty(); }
   int num_classes() const { return num_classes_; }
-  int tree_count() const { return static_cast<int>(roots_.size()); }
-  std::size_t node_count() const { return nodes_.size(); }
-  /// Bytes of the compiled representation (nodes + leaf block + roots).
-  std::size_t memory_bytes() const;
+  int tree_count() const {
+    return trained() ? static_cast<int>(tree_word_.size()) - 1 : 0;
+  }
+  /// Internal nodes plus leaves, over all trees.
+  std::size_t node_count() const {
+    return thresh_.size() + (trained() ? sparse_begin_.size() - 1 : 0);
+  }
+  /// Mask words one scored row uses: the sum over trees of
+  /// ceil(leaves / 64).
+  std::size_t mask_words() const {
+    return trained() ? static_cast<std::size_t>(tree_word_.back()) : 0;
+  }
 
  private:
-  /// ONE tree for every row (in groups of up to 8 lanes), at one ISA level
-  /// each. Tree-outer iteration keeps the tree's node planes cache-hot
-  /// across the whole batch — the inversion that makes batching pay: the
-  /// forest streams through cache once per BATCH, not once per group.
-  /// These are the batch fallback for forests the bitmask scorer below
-  /// cannot represent (a tree with more than 64 leaves).
-  void descend_tree_scalar(std::int32_t root, const double* matrix,
-                           std::size_t dim, std::size_t rows,
-                           double* acc) const;
-  void descend_tree_sse2(std::int32_t root, const double* matrix,
-                         std::size_t dim, std::size_t rows,
-                         double* acc) const;
-  void descend_tree_avx2(std::int32_t root, const double* matrix,
-                         std::size_t dim, std::size_t rows,
-                         double* acc) const;
+  /// Both kernels write UN-divided probability sums for `rows` rows into
+  /// zeroed `out`. The AVX2 one scores 4 rows per vector; both visit the
+  /// same entries and leaves and accumulate in tree order.
+  void score_scalar(const double* matrix, std::size_t dim, std::size_t rows,
+                    double* out) const;
+  void score_avx2(const double* matrix, std::size_t dim, std::size_t rows,
+                  double* out) const;
+  /// Per tree, the lowest surviving bit over its mask words (word w of
+  /// the row at acc[w * stride]) is the reached leaf; adds its nonzero
+  /// class probabilities into `row`, tree after tree.
+  void add_reached_leaves(const std::uint64_t* acc, std::size_t stride,
+                          double* row) const;
 
-  /// Bitmask batch scorer (the QuickScorer scheme of Lucchese et al.,
-  /// SIGIR'15), used whenever every tree has <= 64 leaves: per tree a
-  /// 64-bit mask of surviving leaves starts all-ones, every FALSE node
-  /// (x[feature] > threshold) ANDs away its left subtree, and the reached
-  /// leaf is the lowest surviving bit. Because a feature's false nodes are
-  /// exactly a prefix of its threshold-sorted node list, scoring is a
-  /// branch-predictable streaming walk with no dependent-load chain at
-  /// all — the structural win over any traversal. The SSE2/AVX2 variants
-  /// score 2/4 rows per vector lane; all three accumulate the same leaf
-  /// distributions in tree order, so results stay bit-identical across
-  /// levels and to the per-flow path. Kernels write UN-divided sums.
-  void build_bitmask_scorer();
-  void qs_score_scalar(const double* matrix, std::size_t dim,
-                       std::size_t rows, double* out) const;
-  void qs_score_sse2(const double* matrix, std::size_t dim, std::size_t rows,
-                     double* out) const;
-  void qs_score_avx2(const double* matrix, std::size_t dim, std::size_t rows,
-                     double* out) const;
-
-  // Nodes are emitted in PREORDER per tree: an internal node's left child
-  // is always at `cur + 1`, so the kernels never load a left index.
-  std::vector<Node> nodes_;        // all trees, concatenated
-  std::vector<double> leaf_proba_; // all leaf distributions, concatenated
-  std::vector<std::int32_t> roots_;  // per-tree root offset into nodes_
-  // SoA mirrors of nodes_ for the cross-flow kernels. `soa_meta_` packs
-  // (feature << 32 | right-or-leaf-offset) so one 64-bit gather fetches a
-  // node's whole topology; the threshold plane gathers as doubles.
-  std::vector<std::uint64_t> soa_meta_;
-  std::vector<std::int32_t> soa_feature_;
-  std::vector<std::int32_t> soa_left_;
-  std::vector<std::int32_t> soa_right_;
-  std::vector<double> soa_threshold_;
-
-  // Bitmask-scorer planes (valid when qs_ok_). Internal nodes are bucketed
-  // by feature and sorted by threshold, so a row's false nodes per feature
-  // are the prefix with threshold < x.
-  bool qs_ok_ = false;
-  std::vector<std::int32_t> qs_f_begin_;  // per feature, +1 sentinel
-  std::vector<double> qs_thresh_;         // sorted within each feature
-  std::vector<std::int32_t> qs_tree_;
-  std::vector<std::uint64_t> qs_mask_;    // ~(left-subtree leaves)
-  std::vector<std::uint64_t> qs_tree_full_;  // per tree: low n_leaves bits
-  std::vector<std::int32_t> qs_leaf_base_;   // per tree, into qs_leaf_off_
-  std::vector<std::int32_t> qs_leaf_off_;    // leaf position -> leaf block
-  // Sparse mirror of leaf_proba_: leaves are near-pure (about 1.1 nonzero
-  // classes each), and skipping a +0.0 addend is bit-exact because the
-  // accumulators are never -0.0 (they start at +0.0 and only ever add
-  // non-negative probabilities).
+  // One entry per (internal node, mask word its left subtree touches),
+  // bucketed by feature and sorted by threshold within each bucket, so a
+  // row's false nodes per feature are the prefix with threshold < x.
+  // Thresholds are finite (compile enforces it): `<` is then a strict weak
+  // order and the prefix is exactly the traversal's set of false nodes.
+  std::vector<std::int32_t> f_begin_;  // per feature, +1 sentinel
+  std::vector<double> thresh_;
+  std::vector<std::int32_t> word_;     // accumulator word the mask ANDs
+  std::vector<std::uint64_t> mask_;    // ~(left-subtree leaves in the word)
+  // A tree with L leaves owns ceil(L / 64) consecutive mask words; leaf
+  // position p of tree t is bit p % 64 of word tree_word_[t] + p / 64 and
+  // has global leaf id tree_leaf_[t] + p (leaves are numbered left to
+  // right, tree after tree).
+  std::vector<std::int32_t> tree_word_;  // per tree, +1 sentinel
+  std::vector<std::int32_t> tree_leaf_;  // per tree
+  // Leaf distributions, sparse: leaves are near-pure (about 1.1 nonzero
+  // classes each), and skipping a zero addend is bit-exact because the
+  // accumulators are never -0.0 (they start at +0.0, and a sum of
+  // nonzero addends that rounds to zero is +0.0).
   std::vector<std::int32_t> sparse_begin_;  // per leaf id, +1 sentinel
   std::vector<std::int32_t> sparse_cls_;
   std::vector<double> sparse_val_;

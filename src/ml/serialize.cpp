@@ -262,16 +262,4 @@ std::optional<CompiledForest> load_compiled_forest(const std::string& path) {
   return CompiledForest::compile(*forest);
 }
 
-std::optional<QuantizedForest> deserialize_quantized_forest(ByteView data) {
-  const auto forest = deserialize_forest(data);
-  if (!forest) return std::nullopt;
-  return QuantizedForest::quantize(*forest);
-}
-
-std::optional<QuantizedForest> load_quantized_forest(const std::string& path) {
-  const auto forest = load_forest(path);
-  if (!forest) return std::nullopt;
-  return QuantizedForest::quantize(*forest);
-}
-
 }  // namespace vpscope::ml

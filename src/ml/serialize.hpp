@@ -22,7 +22,6 @@
 #include "core/encoder.hpp"
 #include "ml/compiled_forest.hpp"
 #include "ml/forest.hpp"
-#include "ml/quantized_forest.hpp"
 #include "util/bytes.hpp"
 
 namespace vpscope::ml {
@@ -80,10 +79,5 @@ std::error_code save_bundle_atomic(const RandomForest& forest,
 /// serialized offline, then compiled at startup.
 std::optional<CompiledForest> deserialize_compiled_forest(ByteView data);
 std::optional<CompiledForest> load_compiled_forest(const std::string& path);
-
-/// Same load path lowered into the int16 threshold-rank form (quantization
-/// happens at load time — the wire format stays the float v1/v2 forest).
-std::optional<QuantizedForest> deserialize_quantized_forest(ByteView data);
-std::optional<QuantizedForest> load_quantized_forest(const std::string& path);
 
 }  // namespace vpscope::ml

@@ -218,6 +218,11 @@ std::optional<DecisionTree> DecisionTree::deserialize(Reader& r) {
     node.feature = static_cast<int>(feature) - 1;
     node.left = static_cast<int>(left) - 1;
     node.right = static_cast<int>(right) - 1;
+    // Training on finite features splits at the midpoint of two finite
+    // values. A NaN split makes CompiledForest's threshold sort ill-defined,
+    // and an infinite one can disagree with the traversal on a NaN feature.
+    if (node.feature >= 0 && !std::isfinite(node.threshold))
+      return std::nullopt;
     node.depth = r.u16();
     const std::uint16_t proba_size = r.u16();
     if (!r.ok() || proba_size > 4096 || proba_size > r.remaining() / 8)

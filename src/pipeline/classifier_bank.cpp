@@ -27,6 +27,47 @@ int class_index(std::vector<T>& classes, const T& value) {
   return static_cast<int>(classes.size()) - 1;
 }
 
+/// One forest's (argmax class, max probability) for one flow.
+using Scored = std::pair<int, double>;
+
+/// The paper's 80%-confidence gate.
+bool confident(double confidence, double threshold) {
+  return confidence >= threshold;
+}
+
+/// Fig. 4's decision for one flow, shared by classify() and
+/// ClassifyBatch::classify() so the confidence gate and the fallback exist
+/// once: a confident composite verdict implies both partial objectives;
+/// otherwise `fallback()` yields the (device, agent) scores and whichever
+/// of them is confident is kept. `fallback` runs only under the gate.
+template <typename Fallback>
+PlatformPrediction decide(const ClassifierBank::Scenario& s, double threshold,
+                          Scored platform, Fallback&& fallback) {
+  PlatformPrediction out;
+  out.platform_confidence = platform.second;
+  if (confident(platform.second, threshold)) {
+    out.outcome = telemetry::Outcome::Composite;
+    const auto& id =
+        s.platform_classes[static_cast<std::size_t>(platform.first)];
+    out.platform = id;
+    out.device = id.os;
+    out.agent = id.agent;
+    out.device_confidence = platform.second;
+    out.agent_confidence = platform.second;
+    return out;
+  }
+  const auto [device, agent] = fallback();
+  out.device_confidence = device.second;
+  out.agent_confidence = agent.second;
+  if (confident(device.second, threshold))
+    out.device = s.device_classes[static_cast<std::size_t>(device.first)];
+  if (confident(agent.second, threshold))
+    out.agent = s.agent_classes[static_cast<std::size_t>(agent.first)];
+  out.outcome = out.device || out.agent ? telemetry::Outcome::Partial
+                                        : telemetry::Outcome::Unknown;
+  return out;
+}
+
 }  // namespace
 
 void ClassifierBank::train(const synth::Dataset& dataset,
@@ -121,9 +162,8 @@ PlatformPrediction ClassifierBank::classify(const core::FlowHandshake& handshake
                                             obs::StageProfiler* profiler,
                                             int slot,
                                             obs::SpanScratch* spans) const {
-  PlatformPrediction out;
   const Scenario* s = scenario(provider, handshake.transport);
-  if (!s) return out;  // untrained scenario: Unknown
+  if (!s) return {};  // untrained scenario: Unknown
 
   // One scratch per thread: classify() is const and runs concurrently on
   // every shard worker. The whole extract -> encode -> predict chain below
@@ -146,45 +186,15 @@ PlatformPrediction ClassifierBank::classify(const core::FlowHandshake& handshake
   }
   const std::span<const double> features(scratch.features);
 
-  // Covers the forest descents and confidence logic through every return.
+  // Covers the forest scoring and the confidence logic.
   obs::ScopedTimer classify_timer(profiler, obs::Stage::Classify, slot);
   obs::SpanScope classify_span(spans, obs::SpanKind::Classify);
-  const auto [platform_cls, platform_conf] =
-      s->platform_compiled.predict_with_confidence(features, scratch.forest);
-  out.platform_confidence = platform_conf;
-
-  if (platform_conf >= threshold_) {
-    out.outcome = telemetry::Outcome::Composite;
-    const auto& platform =
-        s->platform_classes[static_cast<std::size_t>(platform_cls)];
-    out.platform = platform;
-    out.device = platform.os;
-    out.agent = platform.agent;
-    // The composite prediction implies both partial objectives.
-    out.device_confidence = platform_conf;
-    out.agent_confidence = platform_conf;
-    return out;
-  }
-
-  // Fallback: per-objective classifiers, keep whichever is confident.
-  const auto [device_cls, device_conf] =
-      s->device_compiled.predict_with_confidence(features, scratch.forest);
-  const auto [agent_cls, agent_conf] =
-      s->agent_compiled.predict_with_confidence(features, scratch.forest);
-  out.device_confidence = device_conf;
-  out.agent_confidence = agent_conf;
-
-  bool any = false;
-  if (device_conf >= threshold_) {
-    out.device = s->device_classes[static_cast<std::size_t>(device_cls)];
-    any = true;
-  }
-  if (agent_conf >= threshold_) {
-    out.agent = s->agent_classes[static_cast<std::size_t>(agent_cls)];
-    any = true;
-  }
-  out.outcome = any ? telemetry::Outcome::Partial : telemetry::Outcome::Unknown;
-  return out;
+  const auto score = [&](const ml::CompiledForest& forest) {
+    return forest.predict_with_confidence(features, scratch.forest);
+  };
+  return decide(*s, threshold_, score(s->platform_compiled), [&] {
+    return std::pair{score(s->device_compiled), score(s->agent_compiled)};
+  });
 }
 
 ClassifierBank::ClassifyBatch::Bucket& ClassifierBank::ClassifyBatch::bucket_for(
@@ -239,17 +249,15 @@ void ClassifierBank::ClassifyBatch::classify(
 
     // Rows under the composite gate fall back to the per-objective forests
     // — batched too, over the compacted sub-matrix of just those rows.
-    sub_rows_.clear();
     sub_matrix_.clear();
     for (std::size_t r = 0; r < rows; ++r) {
-      if (confidences_[r] >= threshold) continue;
-      sub_rows_.push_back(r);
+      if (confident(confidences_[r], threshold)) continue;
       const auto row = std::span<const double>(bucket.matrix).subspan(
           r * dim, dim);
       sub_matrix_.insert(sub_matrix_.end(), row.begin(), row.end());
     }
-    if (!sub_rows_.empty()) {
-      const std::size_t sub_n = sub_rows_.size();
+    if (!sub_matrix_.empty()) {
+      const std::size_t sub_n = sub_matrix_.size() / dim;
       device_labels_.resize(sub_n);
       device_confidences_.resize(sub_n);
       agent_labels_.resize(sub_n);
@@ -260,42 +268,15 @@ void ClassifierBank::ClassifyBatch::classify(
           sub_matrix_, dim, agent_labels_, agent_confidences_, forest_);
     }
 
-    // Assemble per row, replicating classify()'s logic (and therefore its
-    // outcomes and confidences) exactly.
     std::size_t sub_k = 0;
     for (std::size_t r = 0; r < rows; ++r) {
-      PlatformPrediction out;
-      out.platform_confidence = confidences_[r];
-      if (confidences_[r] >= threshold) {
-        out.outcome = telemetry::Outcome::Composite;
-        const auto& platform =
-            s->platform_classes[static_cast<std::size_t>(labels_[r])];
-        out.platform = platform;
-        out.device = platform.os;
-        out.agent = platform.agent;
-        out.device_confidence = confidences_[r];
-        out.agent_confidence = confidences_[r];
-      } else {
-        const double device_conf = device_confidences_[sub_k];
-        const double agent_conf = agent_confidences_[sub_k];
-        out.device_confidence = device_conf;
-        out.agent_confidence = agent_conf;
-        bool any = false;
-        if (device_conf >= threshold) {
-          out.device = s->device_classes[static_cast<std::size_t>(
-              device_labels_[sub_k])];
-          any = true;
-        }
-        if (agent_conf >= threshold) {
-          out.agent = s->agent_classes[static_cast<std::size_t>(
-              agent_labels_[sub_k])];
-          any = true;
-        }
-        out.outcome =
-            any ? telemetry::Outcome::Partial : telemetry::Outcome::Unknown;
-        ++sub_k;
-      }
-      emit(bucket.cookies[r], out);
+      emit(bucket.cookies[r],
+           decide(*s, threshold, {labels_[r], confidences_[r]}, [&] {
+             const std::size_t k = sub_k++;
+             return std::pair{
+                 Scored{device_labels_[k], device_confidences_[k]},
+                 Scored{agent_labels_[k], agent_confidences_[k]}};
+           }));
     }
     bucket.matrix.clear();
     bucket.cookies.clear();

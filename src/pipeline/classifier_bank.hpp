@@ -117,10 +117,11 @@ class ClassifierBank {
 
   /// Deferred cross-flow classification (DESIGN.md §5g): ready flows are
   /// encoded immediately (into per-scenario row-major feature matrices —
-  /// scenarios differ in encoder dimension) but the forest descents run
+  /// scenarios differ in encoder dimension) but the forests score them
   /// later, across all staged flows at once, through
   /// CompiledForest::predict_with_confidence_batch. Per flow the outcome is
-  /// bit-identical to classify(); the win is the batched descent. One
+  /// bit-identical to classify(), which builds it through the same
+  /// decision function; the win is the 4-rows-per-vector kernel. One
   /// instance per pipeline (not thread-safe); `bank` must outlive it.
   class ClassifyBatch {
    public:
@@ -165,7 +166,6 @@ class ClassifierBank {
     std::vector<int> labels_;
     std::vector<double> confidences_;
     std::vector<double> sub_matrix_;
-    std::vector<std::size_t> sub_rows_;
     std::vector<int> device_labels_, agent_labels_;
     std::vector<double> device_confidences_, agent_confidences_;
   };

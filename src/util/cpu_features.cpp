@@ -8,7 +8,6 @@ CpuFeatures probe() {
   CpuFeatures f;
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  f.sse2 = __builtin_cpu_supports("sse2") != 0;
   f.ssse3 = __builtin_cpu_supports("ssse3") != 0;
   f.sse41 = __builtin_cpu_supports("sse4.1") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;

@@ -1,26 +1,32 @@
 // Batched data plane equivalence (ctest -L batch; DESIGN.md §5g).
 //
 // Batching is a pure performance transform, so every test here is an
-// equality, not a tolerance: cross-flow SIMD forest descents must be
-// bit-identical to the per-flow compiled path at every lane count and SIMD
-// level; the int16 threshold-rank forest must be argmax-identical on the
-// full synthetic corpus AND on >= 50k structure-aware wire mutants; and the
-// batched sharded pipeline must reproduce the single-threaded pipeline's
-// records and stats exactly, including partial batches at flush and the
-// drop-accounting identity mid-flight.
+// equality, not a tolerance. The forest scorer oracle holds
+// CompiledForest to RandomForest::predict_proba, memcmp-equal, for the
+// one-row call and for batches of 1-257 rows at every SIMD level: over
+// all 15 lab forests on the lab corpus, on >= 50k structure-aware wire
+// mutants, on hand-built forests whose trees need one, two and three mask
+// words, and on NaN features. The batched sharded pipeline must reproduce
+// the single-threaded pipeline's records and stats exactly, including
+// partial batches at flush and the drop-accounting identity mid-flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/handshake.hpp"
 #include "fuzz/driver.hpp"
-#include "ml/quantized_forest.hpp"
+#include "ml/serialize.hpp"
 #include "pipeline/sharded_pipeline.hpp"
 #include "synth/dataset.hpp"
 #include "tls/client_hello.hpp"
@@ -32,7 +38,6 @@ namespace {
 using fingerprint::Provider;
 using fingerprint::Transport;
 using ml::CompiledForest;
-using ml::QuantizedForest;
 
 /// Lab dataset + trained bank shared by the whole lane (training is the
 /// expensive part; the tests are pure CPU over the artifacts). Torture-size
@@ -82,16 +87,161 @@ class BatchEquivalenceTest : public ::testing::Test {
 synth::Dataset* BatchEquivalenceTest::lab_ = nullptr;
 pipeline::ClassifierBank* BatchEquivalenceTest::bank_ = nullptr;
 
-/// Every SIMD level the host can actually run (Scalar always; Sse2/Avx2
-/// where supported). Auto is included to pin the dispatcher itself.
+/// Every SIMD level the host can actually run (Scalar always; Avx2 where
+/// supported). Auto is included to pin the dispatcher itself.
 std::vector<CompiledForest::Simd> supported_levels() {
   std::vector<CompiledForest::Simd> levels = {CompiledForest::Simd::Auto,
                                               CompiledForest::Simd::Scalar};
-  if (CompiledForest::simd_supported(CompiledForest::Simd::Sse2))
-    levels.push_back(CompiledForest::Simd::Sse2);
   if (CompiledForest::simd_supported(CompiledForest::Simd::Avx2))
     levels.push_back(CompiledForest::Simd::Avx2);
   return levels;
+}
+
+/// A scenario's three forests, each with its compiled form.
+struct Objective {
+  const ml::RandomForest* model;
+  const CompiledForest* compiled;
+};
+std::array<Objective, 3> objectives_of(
+    const pipeline::ClassifierBank::Scenario& s) {
+  return {{{&s.platform_model, &s.platform_compiled},
+           {&s.device_model, &s.device_compiled},
+           {&s.agent_model, &s.agent_compiled}}};
+}
+
+/// Row `r` of a row-major matrix, as the vector RandomForest takes.
+std::vector<double> row_vector(std::span<const double> matrix, std::size_t r,
+                               std::size_t dim) {
+  const auto row = matrix.subspan(r * dim, dim);
+  return {row.begin(), row.end()};
+}
+
+/// RandomForest::predict_proba on each row of a row-major matrix — the
+/// oracle's reference; it shares no code with the scorer.
+std::vector<double> reference_proba(const ml::RandomForest& forest,
+                                    std::span<const double> matrix,
+                                    std::size_t dim) {
+  std::vector<double> out;
+  for (std::size_t r = 0; r < matrix.size() / dim; ++r) {
+    const auto proba = forest.predict_proba(row_vector(matrix, r, dim));
+    out.insert(out.end(), proba.begin(), proba.end());
+  }
+  return out;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The scorer oracle over one matrix: every row through the one-row calls
+/// (probabilities, then label and confidence against
+/// RandomForest::predict_with_confidence), then the whole matrix as one
+/// batch at every SIMD level, all memcmp-equal to `expected`.
+void expect_scorer_matches(const ml::RandomForest& forest,
+                           const CompiledForest& compiled,
+                           std::span<const double> matrix, std::size_t dim,
+                           std::span<const double> expected) {
+  const auto n_classes = static_cast<std::size_t>(compiled.num_classes());
+  const std::size_t rows = matrix.size() / dim;
+  ASSERT_EQ(expected.size(), rows * n_classes);
+  std::vector<double> got(n_classes);
+  CompiledForest::Scratch scratch;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto x = matrix.subspan(r * dim, dim);
+    compiled.predict_proba_into(x, got);
+    ASSERT_TRUE(same_bits(got, expected.subspan(r * n_classes, n_classes)))
+        << "one-row, row " << r;
+    const auto [label, conf] = compiled.predict_with_confidence(x, scratch);
+    const auto [ref_label, ref_conf] =
+        forest.predict_with_confidence(row_vector(matrix, r, dim));
+    ASSERT_EQ(label, ref_label) << "row " << r;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(conf),
+              std::bit_cast<std::uint64_t>(ref_conf))
+        << "row " << r;
+  }
+  for (const auto level : supported_levels()) {
+    std::vector<double> batch(rows * n_classes, -1.0);
+    compiled.predict_proba_batch(matrix, dim, batch, level);
+    ASSERT_TRUE(same_bits(batch, expected))
+        << "rows=" << rows << " level=" << static_cast<int>(level);
+  }
+}
+
+/// A forest built by hand with exactly `leaves[t]` leaves in tree t:
+/// random shapes, features and leaf distributions, thresholds on a coarse
+/// grid so rows tie with them. Written in the v1 wire format and loaded
+/// through deserialize_forest, the one way to build a tree without
+/// training it.
+ml::RandomForest random_shape_forest(const std::vector<int>& leaves, int dim,
+                                     int n_classes, Rng& rng) {
+  struct Node {
+    int feature = -1;
+    double threshold = 0.0;
+    int left = -1, right = -1;
+    std::vector<double> proba;
+  };
+  Writer w;
+  w.u32(0x56505346);  // "VPSF"
+  w.u16(1);           // v1: forest only
+  w.u32(static_cast<std::uint32_t>(n_classes));
+  w.u32(static_cast<std::uint32_t>(leaves.size()));
+  for (const int n_leaves : leaves) {
+    std::vector<Node> nodes;
+    const auto build = [&](auto&& self, int n) -> int {
+      const int at = static_cast<int>(nodes.size());
+      nodes.emplace_back();
+      if (n == 1) {
+        std::vector<double> proba(static_cast<std::size_t>(n_classes), 0.0);
+        proba[static_cast<std::size_t>(rng.uniform_int(0, n_classes - 1))] +=
+            0.625;
+        proba[static_cast<std::size_t>(rng.uniform_int(0, n_classes - 1))] +=
+            0.375;
+        nodes[static_cast<std::size_t>(at)].proba = std::move(proba);
+        return at;
+      }
+      const int left_leaves = rng.uniform_int(1, n - 1);
+      const int left = self(self, left_leaves);
+      const int right = self(self, n - left_leaves);
+      Node& node = nodes[static_cast<std::size_t>(at)];
+      node.feature = rng.uniform_int(0, dim - 1);
+      node.threshold = 0.25 * rng.uniform_int(-8, 8);
+      node.left = left;
+      node.right = right;
+      return at;
+    };
+    build(build, n_leaves);
+    w.u32(static_cast<std::uint32_t>(dim));
+    w.u32(static_cast<std::uint32_t>(nodes.size()));
+    for (const Node& node : nodes) {
+      w.u32(static_cast<std::uint32_t>(node.feature + 1));
+      w.u64(std::bit_cast<std::uint64_t>(node.threshold));
+      w.u32(static_cast<std::uint32_t>(node.left + 1));
+      w.u32(static_cast<std::uint32_t>(node.right + 1));
+      w.u16(0);  // depth
+      w.u16(static_cast<std::uint16_t>(node.proba.size()));
+      for (const double p : node.proba) w.u64(std::bit_cast<std::uint64_t>(p));
+    }
+    w.u16(0);  // importances
+  }
+  auto forest = ml::deserialize_forest(std::move(w).take());
+  if (!forest) throw std::runtime_error("hand-built forest did not load");
+  return std::move(*forest);
+}
+
+/// Rows on the same grid as random_shape_forest's thresholds (so ties and
+/// signed zeros occur), with ~1 feature in 8 NaN and a few infinities.
+std::vector<double> grid_rows(std::size_t rows, int dim, Rng& rng) {
+  std::vector<double> matrix(rows * static_cast<std::size_t>(dim));
+  for (double& v : matrix) {
+    const int pick = rng.uniform_int(0, 39);
+    v = pick < 5    ? std::numeric_limits<double>::quiet_NaN()
+        : pick == 5 ? std::numeric_limits<double>::infinity()
+        : pick == 6 ? -std::numeric_limits<double>::infinity()
+        : pick == 7 ? -0.0
+                    : 0.25 * rng.uniform_int(-9, 9);
+  }
+  return matrix;
 }
 
 TEST_F(BatchEquivalenceTest, PredictProbaBatchBitIdenticalForSizes1To257) {
@@ -104,45 +254,85 @@ TEST_F(BatchEquivalenceTest, PredictProbaBatchBitIdenticalForSizes1To257) {
   ASSERT_GT(pool_rows, 8u);
   const auto n_classes = static_cast<std::size_t>(
       s->platform_compiled.num_classes());
+  const std::vector<double> pool_expected =
+      reference_proba(s->platform_model, pool, dim);
 
-  // Group-remainder boundaries (the descent runs 8 lanes at a time) plus
-  // the extremes the issue pins: 1 and 257.
-  const std::size_t sizes[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32,
-                               33, 63, 64, 65, 127, 128, 129, 255, 256, 257};
-  for (const std::size_t rows : sizes) {
-    // Cycle the pool to reach `rows` rows, so every size is exercised even
-    // though the lab corpus is finite.
+  // Every size from 1 to 257: every 4-row vector remainder, and batches
+  // larger than the pool (cycled, so the lab corpus's size is no limit).
+  for (std::size_t rows = 1; rows <= 257; ++rows) {
     std::vector<double> matrix(rows * dim);
-    for (std::size_t r = 0; r < rows; ++r)
-      std::memcpy(&matrix[r * dim], &pool[(r % pool_rows) * dim],
-                  dim * sizeof(double));
-
     std::vector<double> expected(rows * n_classes);
-    for (std::size_t r = 0; r < rows; ++r)
-      s->platform_compiled.predict_proba_into(
-          std::span<const double>(matrix).subspan(r * dim, dim),
-          std::span<double>(expected).subspan(r * n_classes, n_classes));
-
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t src = (r * 7) % pool_rows;
+      std::memcpy(&matrix[r * dim], &pool[src * dim], dim * sizeof(double));
+      std::memcpy(&expected[r * n_classes], &pool_expected[src * n_classes],
+                  n_classes * sizeof(double));
+    }
     for (const auto level : supported_levels()) {
       std::vector<double> got(rows * n_classes, -1.0);
       s->platform_compiled.predict_proba_batch(matrix, dim, got, level);
-      // Bit identity, not closeness: memcmp over the raw doubles.
-      EXPECT_EQ(std::memcmp(got.data(), expected.data(),
-                            got.size() * sizeof(double)),
-                0)
+      ASSERT_TRUE(same_bits(got, expected))
           << "rows=" << rows << " level=" << static_cast<int>(level);
     }
   }
-  // The bank's forests must take the bitmask-scorer path (trees <= 64
-  // leaves) — if this ever flips, the deep-forest test below is the only
-  // one still covering the scorer.
-  EXPECT_TRUE(s->platform_compiled.uses_bitmask_scorer());
+  // One-row scoring of the whole pool.
+  expect_scorer_matches(s->platform_model, s->platform_compiled, pool, dim,
+                        pool_expected);
+}
+
+// Every lab forest (5 scenarios x 3 objectives) on the whole lab corpus,
+// and on the same rows with every third feature replaced by NaN. The
+// served bank keeps every tree within one mask word.
+TEST_F(BatchEquivalenceTest, EveryLabForestBitIdenticalOnCorpusAndNaNRows) {
+  int forests = 0;
+  for (const auto& [provider, transport] : bank_->scenario_keys()) {
+    const auto* s = bank_->scenario(provider, transport);
+    ASSERT_NE(s, nullptr);
+    const std::size_t dim = s->encoder.dimension();
+    const std::vector<double> corpus = encoded_rows(*s, provider, transport);
+    ASSERT_GT(corpus.size(), 0u);
+    std::vector<double> nan_rows = corpus;
+    for (std::size_t i = 0; i < nan_rows.size(); i += 3)
+      nan_rows[i] = std::numeric_limits<double>::quiet_NaN();
+    for (const auto& [model, compiled] : objectives_of(*s)) {
+      EXPECT_EQ(compiled->mask_words(),
+                static_cast<std::size_t>(compiled->tree_count()));
+      for (const auto* rows : {&corpus, &std::as_const(nan_rows)})
+        expect_scorer_matches(*model, *compiled, *rows, dim,
+                              reference_proba(*model, *rows, dim));
+      ++forests;
+    }
+  }
+  EXPECT_EQ(forests, 15);
+}
+
+// Hand-built trees on both sides of every mask-word boundary: 63, 64 and
+// 65 leaves, 128 and 129, and one forest mixing one-, two- and three-word
+// trees with a stump. Rows carry NaN, +/-inf, signed zeros and exact ties.
+TEST(ForestScorerOracle, MultiWordMasksBitIdenticalAcrossLeafCounts) {
+  constexpr int kDim = 6;
+  constexpr int kClasses = 5;
+  Rng rng(0x5eed);
+  const std::vector<std::vector<int>> shapes = {
+      {63, 63, 63}, {64, 64, 64}, {65, 65, 65},
+      {128, 128},   {129, 129},   {1, 63, 64, 65, 128, 129, 130, 200, 2}};
+  for (const auto& shape : shapes) {
+    const ml::RandomForest forest =
+        random_shape_forest(shape, kDim, kClasses, rng);
+    const CompiledForest compiled = CompiledForest::compile(forest);
+    std::size_t words = 0;
+    for (const int leaves : shape)
+      words += static_cast<std::size_t>((leaves + 63) / 64);
+    EXPECT_EQ(compiled.mask_words(), words);
+    const std::vector<double> rows = grid_rows(257, kDim, rng);
+    expect_scorer_matches(forest, compiled, rows, kDim,
+                          reference_proba(forest, rows, kDim));
+  }
 }
 
 // A forest trained on random labels grows inseparable, deep trees (far more
-// than 64 leaves each), which the bitmask scorer cannot represent — the
-// batch path must fall back to the traversal kernels and stay bit-identical
-// to the per-flow descent at every SIMD level.
+// than 64 leaves each), so every tree needs several mask words; scoring
+// must stay bit-identical to the forest at every SIMD level.
 TEST_F(BatchEquivalenceTest, DeepForestFallbackBitIdenticalAcrossLevels) {
   constexpr std::size_t kSamples = 600;
   constexpr std::size_t kDim = 16;
@@ -163,28 +353,15 @@ TEST_F(BatchEquivalenceTest, DeepForestFallbackBitIdenticalAcrossLevels) {
   params.min_samples_split = 2;
   forest.fit(data, params);
   const CompiledForest compiled = CompiledForest::compile(forest);
-  ASSERT_FALSE(compiled.uses_bitmask_scorer());
+  ASSERT_GE(compiled.mask_words(), 2u * 8u);  // >= 2 words a tree on average
 
-  const std::size_t rows = 67;  // off the 8-lane group boundary on purpose
-  const auto n_classes = static_cast<std::size_t>(compiled.num_classes());
+  const std::size_t rows = 67;  // off the 4-row vector boundary on purpose
   std::vector<double> matrix(rows * kDim);
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t f = 0; f < kDim; ++f)
       matrix[r * kDim + f] = rng.uniform01();
-
-  std::vector<double> expected(rows * n_classes);
-  for (std::size_t r = 0; r < rows; ++r)
-    compiled.predict_proba_into(
-        std::span<const double>(matrix).subspan(r * kDim, kDim),
-        std::span<double>(expected).subspan(r * n_classes, n_classes));
-  for (const auto level : supported_levels()) {
-    std::vector<double> got(rows * n_classes, -1.0);
-    compiled.predict_proba_batch(matrix, kDim, got, level);
-    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
-                          got.size() * sizeof(double)),
-              0)
-        << "level=" << static_cast<int>(level);
-  }
+  expect_scorer_matches(forest, compiled, matrix, kDim,
+                        reference_proba(forest, matrix, kDim));
 }
 
 TEST_F(BatchEquivalenceTest, PredictWithConfidenceBatchMatchesPerRow) {
@@ -196,98 +373,52 @@ TEST_F(BatchEquivalenceTest, PredictWithConfidenceBatchMatchesPerRow) {
   const std::size_t rows = matrix.size() / dim;
   ASSERT_GT(rows, 0u);
 
-  CompiledForest::Scratch scratch;
   CompiledForest::BatchScratch batch_scratch;
-  for (const CompiledForest* forest :
-       {&s->platform_compiled, &s->device_compiled, &s->agent_compiled}) {
+  for (const auto& [model, compiled] : objectives_of(*s)) {
     std::vector<int> expected_labels(rows);
     std::vector<double> expected_conf(rows);
     for (std::size_t r = 0; r < rows; ++r) {
-      const auto [label, conf] = forest->predict_with_confidence(
-          std::span<const double>(matrix).subspan(r * dim, dim), scratch);
+      const auto [label, conf] =
+          model->predict_with_confidence(row_vector(matrix, r, dim));
       expected_labels[r] = label;
       expected_conf[r] = conf;
     }
     for (const auto level : supported_levels()) {
       std::vector<int> labels(rows, -1);
       std::vector<double> conf(rows, -1.0);
-      forest->predict_with_confidence_batch(matrix, dim, labels, conf,
-                                            batch_scratch, level);
+      compiled->predict_with_confidence_batch(matrix, dim, labels, conf,
+                                              batch_scratch, level);
       EXPECT_EQ(labels, expected_labels);
-      EXPECT_EQ(std::memcmp(conf.data(), expected_conf.data(),
-                            rows * sizeof(double)),
-                0);
+      EXPECT_TRUE(same_bits(conf, expected_conf));
     }
   }
 }
 
-TEST_F(BatchEquivalenceTest, QuantizedArgmaxIdenticalOnFullCorpus) {
-  CompiledForest::Scratch scratch;
-  QuantizedForest::Scratch qscratch;
-  std::size_t compared = 0;
-  core::RawAttrs raw;
-  std::vector<double> features;
-  for (const auto& flow : lab_->flows) {
-    const auto* s = bank_->scenario(flow.provider, flow.transport);
-    if (!s) continue;
-    const auto handshake = core::extract_handshake(flow.packets);
-    ASSERT_TRUE(handshake.has_value());
-    features.resize(s->encoder.dimension());
-    s->encoder.transform_into(*handshake, raw, features);
-
-    const struct {
-      const CompiledForest* compiled;
-      const ml::RandomForest* model;
-    } objectives[] = {{&s->platform_compiled, &s->platform_model},
-                      {&s->device_compiled, &s->device_model},
-                      {&s->agent_compiled, &s->agent_model}};
-    for (const auto& objective : objectives) {
-      const QuantizedForest quantized =
-          QuantizedForest::quantize(*objective.model);
-      const auto [label, conf] =
-          objective.compiled->predict_with_confidence(features, scratch);
-      const auto [qlabel, qconf] =
-          quantized.predict_with_confidence(features, qscratch);
-      ASSERT_EQ(qlabel, label);
-      ASSERT_EQ(qconf, conf);  // exact double reconstruction, not approx
-      ASSERT_EQ(quantized.predict(features, qscratch), label);
-      ++compared;
-    }
-  }
-  EXPECT_GT(compared, 100u);
-}
-
-TEST_F(BatchEquivalenceTest, QuantizedArgmaxIdenticalOn50kWireMutants) {
+TEST_F(BatchEquivalenceTest, ScorerBitIdenticalOn50kWireMutants) {
   // The PR-3 structure-aware mutation machinery, re-aimed: every mutant
   // ClientHello that still parses is encoded through the real scenario
-  // encoder and must produce the same argmax from the int16 forest as from
-  // the float one — the adversarial counterpart of the corpus test above.
+  // encoder, and all three of its scenario's forests must score it exactly
+  // as RandomForest::predict_proba does — the adversarial counterpart of
+  // the corpus test above. Rows are checked one at a time as they come and
+  // again per scenario as batches of up to 257.
   const auto corpus = fuzz::build_corpus(0xbeef);
   ASSERT_FALSE(corpus.empty());
 
-  struct QuantizedScenario {
-    const pipeline::ClassifierBank::Scenario* scenario;
-    QuantizedForest platform, device, agent;
+  struct Pending {
+    const pipeline::ClassifierBank::Scenario* scenario = nullptr;
+    std::vector<double> matrix;
   };
-  std::vector<QuantizedScenario> cache;
-  const auto quantized_for =
-      [&](Provider provider,
-          Transport transport) -> const QuantizedScenario* {
-    const auto* s = bank_->scenario(provider, transport);
-    if (!s) return nullptr;
-    for (const auto& entry : cache)
-      if (entry.scenario == s) return &entry;
-    cache.push_back({s, QuantizedForest::quantize(s->platform_model),
-                     QuantizedForest::quantize(s->device_model),
-                     QuantizedForest::quantize(s->agent_model)});
-    return &cache.back();
+  std::vector<Pending> pending;
+  const auto drain = [](Pending& p) {
+    const std::size_t dim = p.scenario->encoder.dimension();
+    for (const auto& [model, compiled] : objectives_of(*p.scenario))
+      expect_scorer_matches(*model, *compiled, p.matrix, dim,
+                            reference_proba(*model, p.matrix, dim));
+    p.matrix.clear();
   };
 
   fuzz::Mutator mutator(0xf022);
-  CompiledForest::Scratch scratch;
-  QuantizedForest::Scratch qscratch;
   core::RawAttrs raw;
-  std::vector<double> features;
   constexpr std::size_t kMutants = 50'000;
   std::size_t compared = 0;
   for (std::size_t i = 0; i < kMutants; ++i) {
@@ -304,24 +435,25 @@ TEST_F(BatchEquivalenceTest, QuantizedArgmaxIdenticalOn50kWireMutants) {
     if (hs.transport == Transport::Quic && !hs.quic_tp)
       hs.transport = Transport::Tcp;
 
-    const QuantizedScenario* q = quantized_for(seed.provider, hs.transport);
-    if (!q) continue;
-    features.resize(q->scenario->encoder.dimension());
-    q->scenario->encoder.transform_into(hs, raw, features);
-
-    const struct {
-      const CompiledForest* compiled;
-      const QuantizedForest* quantized;
-    } objectives[] = {{&q->scenario->platform_compiled, &q->platform},
-                      {&q->scenario->device_compiled, &q->device},
-                      {&q->scenario->agent_compiled, &q->agent}};
-    for (const auto& objective : objectives) {
-      const int expected = objective.compiled->predict(features, scratch);
-      ASSERT_EQ(objective.quantized->predict(features, qscratch), expected)
-          << "mutant " << i << " (" << to_hex(mutant) << ")";
+    const auto* s = bank_->scenario(seed.provider, hs.transport);
+    if (!s) continue;
+    auto it = std::find_if(pending.begin(), pending.end(),
+                           [s](const Pending& p) { return p.scenario == s; });
+    if (it == pending.end()) {
+      pending.push_back({s, {}});
+      it = pending.end() - 1;
     }
+    const std::size_t dim = s->encoder.dimension();
+    const std::size_t at = it->matrix.size();
+    it->matrix.resize(at + dim);
+    s->encoder.transform_into(hs, raw,
+                              std::span<double>(it->matrix).subspan(at, dim));
+    if (it->matrix.size() == 257 * dim) drain(*it);
+    if (HasFatalFailure()) return;
     ++compared;
   }
+  for (Pending& p : pending)
+    if (!p.matrix.empty()) drain(p);
   // Structure-aware mutants keep parsing often; the identity must have been
   // exercised on a large accepted subset, not vacuously.
   EXPECT_GT(compared, kMutants / 10);

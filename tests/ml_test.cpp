@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "ml/compiled_forest.hpp"
@@ -193,6 +195,40 @@ TEST(DecisionTree, DeserializeRejectsIndexFieldsAboveIntMax) {
   EXPECT_FALSE(parse(one_node(0x80000000u, 0, 0)).has_value());
   EXPECT_FALSE(parse(one_node(0, 0x80000000u, 0)).has_value());
   EXPECT_FALSE(parse(one_node(0, 0, 0xffffffffu)).has_value());
+}
+
+// A toy 4-tree forest with tree 0's root threshold patched to NaN loaded
+// before the check; the bitmask scorer treats a NaN split as "go left"
+// where the traversal goes right. +/-inf loaded too. The loader refuses
+// all three, while a finite patch at the same offset still loads.
+TEST(DecisionTree, DeserializeRejectsNonFiniteSplitThresholds) {
+  const Dataset data = make_blobs(30, 2, 2, 1, 1.0, 21);
+  RandomForest forest;
+  forest.fit(data, {.n_trees = 4, .max_depth = 4, .min_samples_split = 2,
+                    .max_features = 0, .bootstrap = true, .seed = 5});
+  ASSERT_GE(forest.trees()[0].nodes()[0].feature, 0);  // the root splits
+  const Bytes wire = serialize_forest(forest);
+  // v1 layout: magic u32, version u16, classes u32, trees u32; then tree 0:
+  // num_features u32, node count u32, root node feature + 1 u32, threshold.
+  constexpr std::size_t kRootThreshold = 4 + 2 + 4 + 4 + 4 + 4 + 4;
+  const auto patched = [&](double threshold) {
+    Writer w;
+    w.u64(std::bit_cast<std::uint64_t>(threshold));
+    Bytes out = wire;
+    const Bytes bits = std::move(w).take();
+    std::copy(bits.begin(), bits.end(),
+              out.begin() + static_cast<long>(kRootThreshold));
+    return out;
+  };
+  const auto finite = deserialize_forest(patched(0.375));
+  ASSERT_TRUE(finite.has_value());
+  EXPECT_EQ(finite->trees()[0].nodes()[0].threshold, 0.375);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(deserialize_forest(patched(bad)).has_value()) << bad;
+    EXPECT_FALSE(deserialize_compiled_forest(patched(bad)).has_value()) << bad;
+  }
 }
 
 TEST(RandomForest, SeparatesBlobs) {
@@ -423,29 +459,9 @@ TEST(CompiledForest, BatchMatchesForestOnDatasetAndContiguousMatrix) {
   EXPECT_EQ(out, expected);
 }
 
-TEST(CompiledForest, PredictProbaIntoAllocatesNothingInSteadyState) {
-  const CompiledFixture f;
-  Rng rng(7);
-  const auto x = f.random_input(rng);
-  std::vector<double> proba(static_cast<std::size_t>(f.compiled.num_classes()));
-  CompiledForest::Scratch scratch;
-  // Warm-up sizes the scratch buffer once.
-  f.compiled.predict_proba_into(x, proba);
-  f.compiled.predict_with_confidence(x, scratch);
-
-  const std::uint64_t before =
-      g_heap_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 1000; ++i) {
-    f.compiled.predict_proba_into(x, proba);
-    f.compiled.predict_with_confidence(x, scratch);
-  }
-  EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed), before);
-}
-
-// Trees with more than 64 leaves have leaf positions past the 64-bit leaf
-// mask: compiling them must reach the traversal fallback without shifting
-// by 64 or more on the way (UB the batch lane's deep forest used to hit).
-TEST(CompiledForest, MoreThan64LeavesFallBackWithoutOverlongShift) {
+/// Random labels over 16 uniform features: the trees stay inseparable and
+/// grow far past 64 leaves each.
+RandomForest deep_forest(int n_trees, Dataset* data_out = nullptr) {
   Rng rng(0xdeef);
   Dataset data;
   for (int i = 0; i < 600; ++i) {
@@ -456,17 +472,73 @@ TEST(CompiledForest, MoreThan64LeavesFallBackWithoutOverlongShift) {
   }
   RandomForest forest;
   ForestParams params;
-  params.n_trees = 2;
+  params.n_trees = n_trees;
   params.max_depth = 32;
   params.min_samples_split = 2;
   forest.fit(data, params);
+  if (data_out) *data_out = std::move(data);
+  return forest;
+}
+
+TEST(CompiledForest, PredictProbaIntoAllocatesNothingInSteadyState) {
+  const CompiledFixture f;
+  const CompiledForest deep = CompiledForest::compile(deep_forest(2));
+  ASSERT_GT(deep.mask_words(), 2u);  // multi-word trees
+  Rng rng(7);
+  const auto x = f.random_input(rng);
+  std::vector<double> deep_x(16, 0.5);
+  std::vector<double> proba(static_cast<std::size_t>(f.compiled.num_classes()));
+  std::vector<double> deep_proba(static_cast<std::size_t>(deep.num_classes()));
+  CompiledForest::Scratch scratch;
+  // Warm-up sizes the scratch buffers once.
+  f.compiled.predict_proba_into(x, proba);
+  f.compiled.predict_with_confidence(x, scratch);
+  deep.predict_proba_into(deep_x, deep_proba);
+  deep.predict_with_confidence(deep_x, scratch);
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    f.compiled.predict_proba_into(x, proba);
+    f.compiled.predict_with_confidence(x, scratch);
+    deep.predict_proba_into(deep_x, deep_proba);
+    deep.predict_with_confidence(deep_x, scratch);
+  }
+  EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed), before);
+}
+
+// Trees with more than 64 leaves have leaf positions past one 64-bit mask
+// word: compiling them must give each tree several words without shifting
+// by 64 or more on the way (UB the batch lane's deep forest used to hit),
+// and the one-row scorer must still match the forest.
+TEST(CompiledForest, MoreThan64LeavesFallBackWithoutOverlongShift) {
+  Dataset data;
+  const RandomForest forest = deep_forest(2, &data);
   const CompiledForest compiled = CompiledForest::compile(forest);
-  EXPECT_FALSE(compiled.uses_bitmask_scorer());
+  EXPECT_GT(compiled.mask_words(), 2u);
   std::vector<double> proba(static_cast<std::size_t>(compiled.num_classes()));
   for (const auto& x : data.x) {
     compiled.predict_proba_into(x, proba);
     ASSERT_EQ(proba, forest.predict_proba(x));
   }
+}
+
+// Feature values of -inf make training split at (-inf + v) / 2 = -inf.
+// compile refuses that split: the sorted-threshold prefix walk is only
+// exact for finite thresholds.
+TEST(CompiledForest, CompileRejectsNonFiniteSplitThreshold) {
+  Dataset data;
+  for (int i = 0; i < 40; ++i) {
+    data.x.push_back({i < 20 ? -std::numeric_limits<double>::infinity()
+                             : static_cast<double>(i)});
+    data.y.push_back(i < 20 ? 0 : 1);
+  }
+  RandomForest forest;
+  forest.fit(data, {.n_trees = 1, .max_depth = 4, .min_samples_split = 2,
+                    .max_features = 0, .bootstrap = false, .seed = 1});
+  ASSERT_EQ(forest.trees()[0].nodes()[0].threshold,
+            -std::numeric_limits<double>::infinity());
+  EXPECT_THROW(CompiledForest::compile(forest), std::invalid_argument);
 }
 
 TEST(CompiledForest, UntrainedIsEmpty) {

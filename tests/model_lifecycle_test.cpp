@@ -25,8 +25,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -228,6 +230,42 @@ TEST_F(ModelLifecycleTest, EveryTruncatedPrefixRejected) {
     const auto bank = deserialize_bank(ByteView(wire.data(), len));
     ASSERT_FALSE(bank.has_value()) << "prefix of " << len << " bytes parsed";
   }
+}
+
+// A bank whose device forest has a NaN split threshold, with the payload CRC
+// fixed up so only the threshold check stands between it and the scorer.
+// Before the check it loaded, and the scorer's threshold sort is not
+// well-defined with a NaN in it.
+TEST_F(ModelLifecycleTest, NanSplitThresholdRejectedWithReason) {
+  const auto* s = tiny_bank_->scenario(tiny_bank_->scenario_keys()[0].first,
+                                       tiny_bank_->scenario_keys()[0].second);
+  ASSERT_NE(s, nullptr);
+  ASSERT_GE(s->device_model.trees()[0].nodes()[0].feature, 0);
+  Bytes wire = serialize_bank(*tiny_bank_);
+  const Bytes device_blob = ml::serialize_forest(s->device_model);
+  const auto at = std::search(wire.begin(), wire.end(), device_blob.begin(),
+                              device_blob.end());
+  ASSERT_NE(at, wire.end());
+  // v1 forest blob: magic u32, version u16, classes u32, trees u32; tree 0:
+  // num_features u32, node count u32, root feature + 1 u32, then threshold.
+  constexpr long kRootThreshold = 4 + 2 + 4 + 4 + 4 + 4 + 4;
+  Writer nan_bits;
+  nan_bits.u64(std::bit_cast<std::uint64_t>(
+      std::numeric_limits<double>::quiet_NaN()));
+  const Bytes bits = std::move(nan_bits).take();
+  std::copy(bits.begin(), bits.end(), at + kRootThreshold);
+  // Header: u32 magic, u16 version, u32 crc (offset 6), u64 size.
+  constexpr std::size_t kHeader = 18;
+  constexpr std::size_t kCrcAt = 6;
+  const std::uint32_t crc =
+      crc32(ByteView(wire.data() + kHeader, wire.size() - kHeader));
+  for (int i = 0; i < 4; ++i)
+    wire[kCrcAt + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (24 - 8 * i));
+
+  std::string why;
+  EXPECT_FALSE(deserialize_bank(wire, &why).has_value());
+  EXPECT_EQ(why, "device model blob malformed");
 }
 
 TEST_F(ModelLifecycleTest, WireMutants50kAllRejectedAndQuarantined) {

@@ -15,6 +15,7 @@
 #include "campus/overload.hpp"
 #include "obs/export.hpp"
 #include "obs/pipeline_obs.hpp"
+#include "pipeline/faultpoint.hpp"
 #include "pipeline/sharded_pipeline.hpp"
 #include "synth/dataset.hpp"
 
@@ -526,8 +527,21 @@ TEST_F(ObsPipelineTest, ShardedScrapeProvesIdentityAndStageLatencies) {
   options.obs.trace_sample_n = 8;
   pipeline::ShardedPipeline sharded(bank_, options);
   sharded.set_sink([](telemetry::SessionRecord) {});
-  for (const auto& packet : traffic.packets) sharded.on_packet(packet);
-  sharded.flush_all();
+  {
+    // Whether the dispatcher outruns free-running workers depends on the
+    // scheduler. Stalling the first worker item makes the overload certain:
+    // that shard's ring (64 slots) fills long before the stall ends, while
+    // the flood sends every shard hundreds of packets.
+    namespace fault = pipeline::fault;
+    fault::Scoped stall(fault::Point::WorkerItem,
+                        {.action = fault::Plan::Action::Stall,
+                         .start = 0,
+                         .period = 0,
+                         .limit = 1,
+                         .stall_ms = 1000});
+    for (const auto& packet : traffic.packets) sharded.on_packet(packet);
+    sharded.flush_all();
+  }
   const pipeline::PipelineStats stats = sharded.stats();
 
   const std::string scrape =
