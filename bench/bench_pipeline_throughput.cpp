@@ -33,8 +33,8 @@
 // ---- counting allocator -------------------------------------------------
 // Global operator new/delete override for this binary only: counts heap
 // allocations while `g_count_allocs` is set, so the encode microbench can
-// assert the extract -> encode -> classify chain is allocation-free in
-// steady state (the PR 2 refactor's contract).
+// report what the chain from a flow's handshake packets to its verdict
+// allocates in steady state.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<bool> g_count_allocs{false};
@@ -434,12 +434,17 @@ StageLatencyResult run_stage_latency(const std::vector<net::Packet>& packets,
 struct EncodeResult {
   const char* name = "";
   std::size_t flows = 0;
-  double extract_encode_us = 0;   // extract_raw_attributes + transform_into
-  double classify_chain_us = 0;   // full extract -> encode -> forest chain
+  double extract_encode_us = 0;   // extractor feed + transform_into
+  double classify_chain_us = 0;   // extractor feed + ClassifierBank::classify
   double flows_per_sec = 0;       // from the full chain
   double allocs_per_flow = 0;     // steady-state heap allocs, full chain
 };
 
+/// The encode path from the wire: each flow's decoded packets up to the one
+/// that completes its handshake are fed to a fresh HandshakeExtractor (the
+/// ClientHello parse, and for QUIC the Initial unprotect and transport
+/// parameters), then encoded or classified as the pipeline does per video
+/// flow.
 EncodeResult run_encode_kernel(Provider provider, Transport transport,
                                const char* name) {
   EncodeResult out;
@@ -451,17 +456,38 @@ EncodeResult run_encode_kernel(Provider provider, Transport transport,
   Rng rng(17);
   synth::FlowSynthesizer synth(rng);
   const auto platforms = fingerprint::platforms_for(provider, transport);
-  std::vector<core::FlowHandshake> handshakes;
+  std::vector<synth::LabeledFlow> flows;
+  std::vector<std::vector<net::DecodedPacket>> handshakes;
   for (int i = 0; i < 64; ++i) {
     const auto profile = fingerprint::make_profile(
         platforms[static_cast<std::size_t>(i) % platforms.size()], provider,
         transport);
-    const auto flow = synth.synthesize(profile);
-    if (auto h = core::extract_handshake(flow.packets))
-      handshakes.push_back(std::move(*h));
+    flows.push_back(synth.synthesize(profile));
+  }
+  for (const auto& flow : flows) {
+    core::HandshakeExtractor probe;
+    std::vector<net::DecodedPacket> packets;
+    for (const auto& packet : flow.packets) {
+      net::DecodedPacket decoded;
+      if (!net::decode_into(packet, decoded)) continue;
+      packets.push_back(decoded);
+      probe.feed(decoded);
+      if (probe.complete()) break;
+    }
+    if (probe.complete()) handshakes.push_back(std::move(packets));
   }
   out.flows = handshakes.size();
   if (handshakes.empty()) return out;
+
+  // One flow's handshake from its packets, in a fresh extractor as each
+  // pipeline handshake slot is.
+  const auto extract = [](const std::vector<net::DecodedPacket>& packets,
+                          core::HandshakeExtractor& extractor)
+      -> const core::FlowHandshake& {
+    extractor = core::HandshakeExtractor{};
+    for (const auto& decoded : packets) extractor.feed(decoded);
+    return *extractor.handshake();
+  };
 
   constexpr int kRounds = 500;
   constexpr int kReps = 5;
@@ -478,32 +504,38 @@ EncodeResult run_encode_kernel(Provider provider, Transport transport,
     return best_us;
   };
 
-  // Stage 1: extract + encode only, against the fitted frozen interner.
+  // Stage 1: extract + encode, against the fitted frozen interner.
+  core::HandshakeExtractor extractor;
   core::RawAttrs raw;
   std::vector<double> features(scenario->encoder.dimension());
-  out.extract_encode_us = time_us_per_flow([&](const core::FlowHandshake& h) {
-    scenario->encoder.transform_into(h, raw, features);
-    benchmark::DoNotOptimize(features.data());
-  });
+  out.extract_encode_us =
+      time_us_per_flow([&](const std::vector<net::DecodedPacket>& packets) {
+        const core::FlowHandshake& h = extract(packets, extractor);
+        scenario->encoder.transform_into(h, raw, features);
+        benchmark::DoNotOptimize(features.data());
+      });
 
   // Stage 2: the deployed chain (extract -> encode -> compiled forests with
   // confidence gating), as the pipeline runs it per video flow.
-  out.classify_chain_us = time_us_per_flow([&](const core::FlowHandshake& h) {
-    benchmark::DoNotOptimize(bank.classify(h, provider));
-  });
+  out.classify_chain_us =
+      time_us_per_flow([&](const std::vector<net::DecodedPacket>& packets) {
+        benchmark::DoNotOptimize(
+            bank.classify(extract(packets, extractor), provider));
+      });
   out.flows_per_sec = 1e6 / out.classify_chain_us;
 
-  // Steady-state allocation count over the full chain. One warm-up pass
-  // lets the thread_local classify scratch reach capacity first.
-  for (const auto& h : handshakes) (void)bank.classify(h, provider);
+  // Steady-state allocation count over the full chain, from the packets.
+  // One warm-up pass lets the thread_local classify scratch reach capacity
+  // first.
+  for (const auto& packets : handshakes)
+    (void)bank.classify(extract(packets, extractor), provider);
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
   constexpr int kAllocRounds = 50;
   for (int round = 0; round < kAllocRounds; ++round)
-    for (const auto& h : handshakes) {
-      scenario->encoder.transform_into(h, raw, features);
-      benchmark::DoNotOptimize(bank.classify(h, provider));
-    }
+    for (const auto& packets : handshakes)
+      benchmark::DoNotOptimize(
+          bank.classify(extract(packets, extractor), provider));
   g_count_allocs.store(false, std::memory_order_relaxed);
   out.allocs_per_flow =
       static_cast<double>(g_alloc_count.load(std::memory_order_relaxed)) /
@@ -637,8 +669,9 @@ void report() {
   encode_table.print(std::cout);
   write_encode_json(encode_results);
   std::cout << "machine-readable encode results: BENCH_encode.json "
-               "(allocs/flow counts steady-state heap allocations across "
-               "extract -> encode -> classify)\n";
+               "(from each flow's handshake packets; allocs/flow counts "
+               "steady-state heap allocations across extractor feed -> "
+               "encode -> classify)\n";
 
   const auto cls = run_classify_kernel();
   TextTable classify_table({"Classification kernel", "us/flow", "speedup"});

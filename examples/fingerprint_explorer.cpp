@@ -59,8 +59,9 @@ void show(const fingerprint::PlatformId& platform,
   const auto handshake = observe(platform, provider, transport);
   std::printf("== %s x %s over %s ==\n", to_string(platform).c_str(),
               to_string(provider).c_str(), to_string(transport).c_str());
-  std::printf("JA3: %s\n", tls::ja3_hash(handshake.chlo).c_str());
-  std::printf("JA3 string: %s\n\n", tls::ja3_string(handshake.chlo).c_str());
+  const auto chlo = tls::ClientHello::from_wire(handshake.chlo);
+  std::printf("JA3: %s\n", tls::ja3_hash(chlo).c_str());
+  std::printf("JA3 string: %s\n\n", tls::ja3_string(chlo).c_str());
 
   core::TokenInterner interner;  // grow-mode: no fitted vocabulary here
   const auto raw = core::extract_raw_attributes(handshake, interner);

@@ -73,7 +73,7 @@ class Anderson2019 : public BaselineExtractor {
       const core::FlowHandshake& h) const override {
     const Tokens tokens = tokenize(h);
     std::vector<double> out;
-    out.push_back(h.chlo.legacy_version);
+    out.push_back(h.chlo.legacy_version());
     encode_list(suite_dict_, tokens.suites, 24, &out);
     encode_list(ext_dict_, tokens.exts, 24, &out);
     encode_list(group_dict_, tokens.groups, 10, &out);
@@ -87,7 +87,7 @@ class Anderson2019 : public BaselineExtractor {
   };
 
   static Tokens tokenize(const core::FlowHandshake& h) {
-    const tls::ClientHello& chlo = h.chlo;
+    const auto chlo = tls::ClientHello::from_wire(h.chlo);
     Tokens t;
     t.suites = canonical_u16_tokens(chlo.cipher_suites, /*sorted=*/false);
     t.exts = canonical_u16_tokens(chlo.extension_types(), /*sorted=*/true);
@@ -174,15 +174,16 @@ class Lastovicka2020 : public BaselineExtractor {
 
   void fit(std::span<const core::FlowHandshake> handshakes) override {
     for (const auto& h : handshakes) {
-      for (const auto& t : u16_tokens(h.chlo.cipher_suites)) suite_dict_.add(t);
-      if (const auto g = h.chlo.supported_groups())
+      const auto chlo = tls::ClientHello::from_wire(h.chlo);
+      for (const auto& t : u16_tokens(chlo.cipher_suites)) suite_dict_.add(t);
+      if (const auto g = chlo.supported_groups())
         for (const auto& t : u16_tokens(*g)) group_dict_.add(t);
     }
   }
 
   std::vector<double> transform(
       const core::FlowHandshake& h) const override {
-    const tls::ClientHello& chlo = h.chlo;
+    const auto chlo = tls::ClientHello::from_wire(h.chlo);
     std::vector<double> out;
     // 1. server name (length — the name itself identifies the service, not
     //    the platform), 2. TLS version, 3. cipher suites, 4. compression

@@ -133,213 +133,210 @@ class JoinBuffer {
   std::size_t len_ = 0;
 };
 
-RawAttr num(double v) {
-  RawAttr a;
-  a.present = true;
-  a.number = v;
-  return a;
+/// Token resolution for the steady-state path: the interner is read-only,
+/// and integer fields resolve through lookup_number without being rendered.
+struct LookupTokens {
+  const TokenInterner& interner;
+  TokenId text(std::string_view token) const { return interner.lookup(token); }
+  TokenId number(std::uint64_t value) const {
+    return interner.lookup_number(value);
+  }
+};
+
+/// Token resolution at fit and analysis time: the interner grows, integer
+/// fields as their canonical decimal rendering.
+struct InternTokens {
+  TokenInterner& interner;
+  TokenId text(std::string_view token) const { return interner.intern(token); }
+  TokenId number(std::uint64_t value) const {
+    char buf[24];
+    return interner.intern(dec_token(value, buf));
+  }
+};
+
+/// The token of a "-"-joined list (categorical attributes o5, o12, o19). A
+/// one-item join is that item's decimal, so it resolves as a number.
+template <typename List, typename Tokens>
+TokenId joined_token(const List& items, const Tokens& tokens) {
+  if (items.size() == 1) return tokens.number(items[0]);
+  JoinBuffer joined;
+  for (std::size_t i = 0; i < items.size(); ++i) joined.append(items[i]);
+  return tokens.text(joined.view());
 }
 
-RawAttr presence(bool p) {
-  RawAttr a;
+// The setters below write into an attribute extract_impl has already
+// reset, so no 144-byte RawAttr temporary is built and copied per field.
+
+void num(RawAttr& a, double v) {
+  a.present = true;
+  a.number = v;
+}
+
+void presence(RawAttr& a, bool p) {
   a.present = p;
   a.number = p ? 1.0 : 0.0;
-  return a;
 }
 
 /// Length attributes report the on-wire extension size including its 4-byte
 /// type+length header, so an *empty but present* extension (e.g. SCT,
 /// session_ticket) is distinguishable from an absent one.
-RawAttr ext_length(const tls::ClientHello& chlo, std::uint16_t type) {
-  const tls::Extension* e = chlo.find(type);
-  RawAttr a;
-  if (e) {
-    a.present = true;
-    a.number = static_cast<double>(4 + e->body.size());
-  }
-  return a;
+void ext_length(RawAttr& a, const tls::WireClientHello& chlo,
+                std::uint16_t type) {
+  if (const auto body = chlo.find(type))
+    num(a, static_cast<double>(4 + body->size()));
 }
 
-RawAttr ext_presence(const tls::ClientHello& chlo, std::uint16_t type) {
-  return presence(chlo.has_extension(type));
+void ext_presence(RawAttr& a, const tls::WireClientHello& chlo,
+                  std::uint16_t type) {
+  presence(a, chlo.has_extension(type));
 }
 
-/// The extraction body, parameterized over the token sink so the fit-time
-/// (growing) and inference-time (frozen lookup, allocation-free) paths share
-/// one implementation. `sink(string_view) -> TokenId`.
-template <typename Sink>
-void extract_impl(const FlowHandshake& h, RawAttrs& out, Sink&& sink) {
+/// The extraction body, parameterized over the token resolution so the
+/// fit-time (growing) and inference-time (frozen lookup, allocation-free)
+/// paths share one implementation.
+template <typename Tokens>
+void extract_impl(const FlowHandshake& h, RawAttrs& out,
+                  const Tokens& tokens) {
   out.fill(RawAttr{});
   const bool is_tcp = h.transport == Transport::Tcp;
-  const tls::ClientHello& chlo = h.chlo;
+  const tls::WireClientHello& chlo = h.chlo;
   namespace ext = tls::ext;
-  char buf[24];
 
-  const auto cat = [&](RawAttr& a, std::string_view token) {
+  const auto cat = [](RawAttr& a, TokenId id) {
     a.present = true;
-    a.set_token(sink(token));
+    a.set_token(id);
+  };
+  const auto list = [&](RawAttr& a, const auto& items) {
+    a.present = items.size() > 0;
+    for (std::size_t i = 0; i < items.size(); ++i)
+      a.push_token(tokens.number(items[i]));
   };
 
   // t1/t2
-  out[0] = num(static_cast<double>(h.init_packet_size));
-  out[1] = num(static_cast<double>(h.ttl));
+  num(out[0], static_cast<double>(h.init_packet_size));
+  num(out[1], static_cast<double>(h.ttl));
 
   if (is_tcp) {
-    out[2] = presence(h.syn_flags.cwr);
-    out[3] = presence(h.syn_flags.ece);
-    out[4] = presence(h.syn_flags.urg);
-    out[5] = presence(h.syn_flags.ack);
-    out[6] = presence(h.syn_flags.psh);
-    out[7] = presence(h.syn_flags.rst);
-    out[8] = presence(h.syn_flags.syn);
-    out[9] = presence(h.syn_flags.fin);
-    out[10] = num(h.tcp_window);
-    out[11] = num(h.tcp_mss ? *h.tcp_mss : 0.0);
-    out[12] = num(h.tcp_window_scale ? *h.tcp_window_scale : 0.0);
-    out[13] = presence(h.tcp_sack_permitted);
+    presence(out[2], h.syn_flags.cwr);
+    presence(out[3], h.syn_flags.ece);
+    presence(out[4], h.syn_flags.urg);
+    presence(out[5], h.syn_flags.ack);
+    presence(out[6], h.syn_flags.psh);
+    presence(out[7], h.syn_flags.rst);
+    presence(out[8], h.syn_flags.syn);
+    presence(out[9], h.syn_flags.fin);
+    num(out[10], h.tcp_window);
+    num(out[11], h.tcp_mss ? *h.tcp_mss : 0.0);
+    num(out[12], h.tcp_window_scale ? *h.tcp_window_scale : 0.0);
+    presence(out[13], h.tcp_sack_permitted);
   }
 
   // m1..m5
-  out[14] = num(static_cast<double>(chlo.handshake_body_length()));
-  cat(out[15], dec_token(chlo.legacy_version, buf));
-  out[16].present = !chlo.cipher_suites.empty();
-  for (const std::uint16_t suite : chlo.cipher_suites)
-    out[16].push_token(sink(dec_token(suite, buf)));
-  out[17] = num(static_cast<double>(chlo.compression_methods.size()));
-  out[18] = num(static_cast<double>(chlo.extensions_length()));
+  num(out[14], static_cast<double>(chlo.handshake_body_length()));
+  cat(out[15], tokens.number(chlo.legacy_version()));
+  list(out[16], chlo.cipher_suites());
+  num(out[17], static_cast<double>(chlo.compression_methods().size()));
+  num(out[18], static_cast<double>(chlo.extensions_length()));
 
   // o1: extension type codes in wire order.
-  out[19].present = !chlo.extensions.empty();
-  for (const auto& e : chlo.extensions)
-    out[19].push_token(sink(dec_token(e.type, buf)));
+  out[19].present = !chlo.extensions().empty();
+  for (const tls::ExtensionView e : chlo.extensions())
+    out[19].push_token(tokens.number(e.type));
   // o2: SNI length (the name itself is matched upstream for provider
   // detection; only the length can fingerprint the platform).
   if (const auto sni = chlo.server_name_view())
-    out[20] = num(static_cast<double>(sni->size()));
+    num(out[20], static_cast<double>(sni->size()));
   // o3: status_request type byte.
-  if (const tls::Extension* e = chlo.find(ext::kStatusRequest))
-    cat(out[21], e->body.empty()
-                     ? std::string_view("empty")
-                     : dec_token(e->body[0], buf));
+  if (const auto body = chlo.find(ext::kStatusRequest))
+    cat(out[21], body->empty() ? tokens.text("empty")
+                               : tokens.number((*body)[0]));
   // o4
-  if (tls::U16View groups; chlo.supported_groups_into(groups)) {
-    out[22].present = groups.size() > 0;
-    for (std::size_t i = 0; i < groups.size(); ++i)
-      out[22].push_token(sink(dec_token(groups[i], buf)));
-  }
+  if (tls::U16View groups; chlo.supported_groups_into(groups))
+    list(out[22], groups);
   // o5
-  if (tls::U8View formats; chlo.ec_point_formats_into(formats)) {
-    JoinBuffer joined;
-    for (std::size_t i = 0; i < formats.size(); ++i) joined.append(formats[i]);
-    cat(out[23], joined.view());
-  }
+  if (tls::U8View formats; chlo.ec_point_formats_into(formats))
+    cat(out[23], joined_token(formats, tokens));
   // o6
-  if (tls::U16View algs; chlo.signature_algorithms_into(algs)) {
-    out[24].present = algs.size() > 0;
-    for (std::size_t i = 0; i < algs.size(); ++i)
-      out[24].push_token(sink(dec_token(algs[i], buf)));
-  }
+  if (tls::U16View algs; chlo.signature_algorithms_into(algs))
+    list(out[24], algs);
   // o7
   if (tls::NameView alpn; chlo.alpn_protocols_into(alpn)) {
     out[25].present = alpn.size() > 0;
     for (std::size_t i = 0; i < alpn.size(); ++i)
-      out[25].push_token(sink(alpn[i]));
+      out[25].push_token(tokens.text(alpn[i]));
   }
   // o8/o9
-  out[26] = ext_length(chlo, ext::kSignedCertTimestamp);
-  out[27] = ext_length(chlo, ext::kPadding);
+  ext_length(out[26], chlo, ext::kSignedCertTimestamp);
+  ext_length(out[27], chlo, ext::kPadding);
   // o10/o11
-  out[28] = ext_presence(chlo, ext::kEncryptThenMac);
-  out[29] = ext_presence(chlo, ext::kExtendedMasterSecret);
+  ext_presence(out[28], chlo, ext::kEncryptThenMac);
+  ext_presence(out[29], chlo, ext::kExtendedMasterSecret);
   // o12
-  if (tls::U16View comp; chlo.compress_certificate_into(comp)) {
-    JoinBuffer joined;
-    for (std::size_t i = 0; i < comp.size(); ++i) joined.append(comp[i]);
-    cat(out[30], joined.view());
-  }
+  if (tls::U16View comp; chlo.compress_certificate_into(comp))
+    cat(out[30], joined_token(comp, tokens));
   // o13
-  if (const auto limit = chlo.record_size_limit()) out[31] = num(*limit);
+  if (const auto limit = chlo.record_size_limit()) num(out[31], *limit);
   // o14
-  if (tls::U16View dc; chlo.delegated_credentials_into(dc)) {
-    out[32].present = dc.size() > 0;
-    for (std::size_t i = 0; i < dc.size(); ++i)
-      out[32].push_token(sink(dec_token(dc[i], buf)));
-  }
+  if (tls::U16View dc; chlo.delegated_credentials_into(dc)) list(out[32], dc);
   // o15..o17
-  out[33] = ext_length(chlo, ext::kSessionTicket);
-  out[34] = ext_presence(chlo, ext::kPreSharedKey);
-  out[35] = ext_length(chlo, ext::kEarlyData);
+  ext_length(out[33], chlo, ext::kSessionTicket);
+  ext_presence(out[34], chlo, ext::kPreSharedKey);
+  ext_length(out[35], chlo, ext::kEarlyData);
   // o18
-  if (tls::U16View versions; chlo.supported_versions_into(versions)) {
-    out[36].present = versions.size() > 0;
-    for (std::size_t i = 0; i < versions.size(); ++i)
-      out[36].push_token(sink(dec_token(versions[i], buf)));
-  }
+  if (tls::U16View versions; chlo.supported_versions_into(versions))
+    list(out[36], versions);
   // o19
-  if (tls::U8View modes; chlo.psk_key_exchange_modes_into(modes)) {
-    JoinBuffer joined;
-    for (std::size_t i = 0; i < modes.size(); ++i) joined.append(modes[i]);
-    cat(out[37], joined.view());
-  }
+  if (tls::U8View modes; chlo.psk_key_exchange_modes_into(modes))
+    cat(out[37], joined_token(modes, tokens));
   // o20
-  out[38] = ext_presence(chlo, ext::kPostHandshakeAuth);
+  ext_presence(out[38], chlo, ext::kPostHandshakeAuth);
   // o21
-  if (tls::U16View shares; chlo.key_share_groups_into(shares)) {
-    out[39].present = shares.size() > 0;
-    for (std::size_t i = 0; i < shares.size(); ++i)
-      out[39].push_token(sink(dec_token(shares[i], buf)));
-  }
+  if (tls::U16View shares; chlo.key_share_groups_into(shares))
+    list(out[39], shares);
   // o22: the application_settings content, prefixed by the extension code
   // variant in use (ALPS codepoint migration distinguishes Chromium forks).
   if (tls::NameView settings; chlo.application_settings_into(settings)) {
     out[40].present = true;
-    out[40].push_token(sink(chlo.has_extension(ext::kApplicationSettingsNew)
-                                ? std::string_view("alps-new")
-                                : std::string_view("alps-old")));
+    out[40].push_token(tokens.text(
+        chlo.has_extension(ext::kApplicationSettingsNew) ? "alps-new"
+                                                         : "alps-old"));
     for (std::size_t i = 0; i < settings.size(); ++i)
-      out[40].push_token(sink(settings[i]));
+      out[40].push_token(tokens.text(settings[i]));
   }
   // o23
-  out[41] = ext_presence(chlo, ext::kRenegotiationInfo);
+  ext_presence(out[41], chlo, ext::kRenegotiationInfo);
 
   // q1..q20
   if (h.transport == Transport::Quic && h.quic_tp) {
     const quic::TransportParameters& tp = *h.quic_tp;
     out[42].present = !tp.param_order.empty();
     for (const std::uint64_t id : tp.param_order)
-      out[42].push_token(sink(quic::tp::is_grease(id)
-                                  ? std::string_view("GREASE")
-                                  : dec_token(id, buf)));
-    const auto opt_num = [](const std::optional<std::uint64_t>& v) {
-      RawAttr a;
-      if (v) {
-        a.present = true;
-        a.number = static_cast<double>(*v);
-      }
-      return a;
+      out[42].push_token(quic::tp::is_grease(id) ? tokens.text("GREASE")
+                                                 : tokens.number(id));
+    const auto opt_num = [](RawAttr& a, const std::optional<std::uint64_t>& v) {
+      if (v) num(a, static_cast<double>(*v));
     };
-    out[43] = opt_num(tp.max_idle_timeout);
-    out[44] = opt_num(tp.max_udp_payload_size);
-    out[45] = opt_num(tp.initial_max_data);
-    out[46] = opt_num(tp.initial_max_stream_data_bidi_local);
-    out[47] = opt_num(tp.initial_max_stream_data_bidi_remote);
-    out[48] = opt_num(tp.initial_max_stream_data_uni);
-    out[49] = opt_num(tp.initial_max_streams_bidi);
-    out[50] = opt_num(tp.initial_max_streams_uni);
-    out[51] = opt_num(tp.max_ack_delay);
-    out[52] = presence(tp.disable_active_migration);
-    out[53] = opt_num(tp.active_connection_id_limit);
+    opt_num(out[43], tp.max_idle_timeout);
+    opt_num(out[44], tp.max_udp_payload_size);
+    opt_num(out[45], tp.initial_max_data);
+    opt_num(out[46], tp.initial_max_stream_data_bidi_local);
+    opt_num(out[47], tp.initial_max_stream_data_bidi_remote);
+    opt_num(out[48], tp.initial_max_stream_data_uni);
+    opt_num(out[49], tp.initial_max_streams_bidi);
+    opt_num(out[50], tp.initial_max_streams_uni);
+    opt_num(out[51], tp.max_ack_delay);
+    presence(out[52], tp.disable_active_migration);
+    opt_num(out[53], tp.active_connection_id_limit);
     if (tp.has_initial_source_connection_id)
-      out[54] =
-          num(static_cast<double>(tp.initial_source_connection_id.size()));
-    out[55] = opt_num(tp.max_datagram_frame_size);
-    out[56] = presence(tp.grease_quic_bit);
-    out[57] = presence(tp.initial_rtt_us.has_value());
+      num(out[54], static_cast<double>(tp.initial_source_connection_id.size()));
+    opt_num(out[55], tp.max_datagram_frame_size);
+    presence(out[56], tp.grease_quic_bit);
+    presence(out[57], tp.initial_rtt_us.has_value());
     if (tp.google_connection_options)
-      cat(out[58], *tp.google_connection_options);
-    if (tp.user_agent) cat(out[59], *tp.user_agent);
-    if (tp.google_version) cat(out[60], dec_token(*tp.google_version, buf));
-    out[61] = opt_num(tp.ack_delay_exponent);
+      cat(out[58], tokens.text(*tp.google_connection_options));
+    if (tp.user_agent) cat(out[59], tokens.text(*tp.user_agent));
+    if (tp.google_version) cat(out[60], tokens.number(*tp.google_version));
+    opt_num(out[61], tp.ack_delay_exponent);
   }
 }
 
@@ -347,14 +344,12 @@ void extract_impl(const FlowHandshake& h, RawAttrs& out, Sink&& sink) {
 
 void extract_raw_attributes(const FlowHandshake& handshake,
                             const TokenInterner& interner, RawAttrs& out) {
-  extract_impl(handshake, out,
-               [&](std::string_view t) { return interner.lookup(t); });
+  extract_impl(handshake, out, LookupTokens{interner});
 }
 
 void extract_raw_attributes(const FlowHandshake& handshake,
                             TokenInterner& interner, RawAttrs& out) {
-  extract_impl(handshake, out,
-               [&](std::string_view t) { return interner.intern(t); });
+  extract_impl(handshake, out, InternTokens{interner});
 }
 
 RawAttrs extract_raw_attributes(const FlowHandshake& handshake,

@@ -42,15 +42,20 @@ bool HandshakeExtractor::feed_tcp(const net::DecodedPacket& packet) {
     return false;
   if (packet.payload.empty()) return false;
 
-  tcp_stream_.insert(tcp_stream_.end(), packet.payload.begin(),
-                     packet.payload.end());
   // A ClientHello comfortably fits the first few segments; bail out if the
   // client sent lots of data without a parseable hello (not a TLS flow).
-  if (auto chlo = tls::ClientHello::parse_record(tcp_stream_)) {
-    finish_with_chlo(std::move(*chlo));
+  const bool buffered = !tcp_stream_.empty();
+  if (buffered)
+    tcp_stream_.insert(tcp_stream_.end(), packet.payload.begin(),
+                       packet.payload.end());
+  if (result_->chlo.parse_record(buffered ? ByteView(tcp_stream_)
+                                          : packet.payload)) {
+    finish();
     return true;
   }
-  if (tcp_stream_.size() > 16384) failed_ = true;
+  if (!buffered) tcp_stream_.assign(packet.payload.begin(),
+                                    packet.payload.end());
+  if (tcp_stream_.size() > kMaxClientHelloStream) failed_ = true;
   return true;
 }
 
@@ -70,22 +75,21 @@ bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
     h.ttl = packet.ttl;
     result_ = std::move(h);
   }
-  reassembler_.add(*initial);
-  const Bytes stream = reassembler_.contiguous_prefix();
-  if (stream.size() < 4) return true;
-  if (auto chlo = tls::ClientHello::parse_handshake(stream)) {
-    finish_with_chlo(std::move(*chlo));
+  if (!reassembler_.add(*initial)) {
+    failed_ = true;
+    return true;
   }
+  const ByteView stream = reassembler_.prefix();
+  if (stream.size() < 4) return true;
+  if (result_->chlo.parse_handshake(stream)) finish();
   return true;
 }
 
-void HandshakeExtractor::finish_with_chlo(tls::ClientHello chlo) {
-  if (!result_) return;
+void HandshakeExtractor::finish() {
   if (result_->transport == Transport::Quic) {
-    if (const auto tp_body = chlo.quic_transport_parameters())
+    if (const auto tp_body = result_->chlo.quic_transport_parameters())
       result_->quic_tp = quic::TransportParameters::parse(*tp_body);
   }
-  result_->chlo = std::move(chlo);
   complete_ = true;
 }
 

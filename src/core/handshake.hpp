@@ -33,16 +33,24 @@ struct FlowHandshake {
   std::optional<std::uint8_t> tcp_window_scale;
   bool tcp_sack_permitted = false;
 
-  // TLS surface (m*/o* attributes), plus parsed QUIC transport parameters
-  // (q* attributes) when the flow is QUIC.
-  tls::ClientHello chlo;
+  // TLS surface (m*/o* attributes) as the ClientHello's wire bytes, plus
+  // parsed QUIC transport parameters (q* attributes) when the flow is QUIC.
+  tls::WireClientHello chlo;
   std::optional<quic::TransportParameters> quic_tp;
 };
+
+/// Client bytes (TCP payload or QUIC CRYPTO stream) a flow may send without
+/// a parseable ClientHello before it is declared not a TLS flow; the same
+/// bound on both transports.
+inline constexpr std::size_t kMaxClientHelloStream = quic::kMaxCryptoStream;
 
 /// Incremental handshake extraction: feed packets of one flow in arrival
 /// order; `handshake()` becomes available once the SYN+ClientHello (TCP) or
 /// a complete Initial CRYPTO stream (QUIC) has been seen. Mirrors how the
-/// real-time pipeline consumes a packet stream.
+/// real-time pipeline consumes a packet stream. The ClientHello is parsed
+/// once, straight into the handshake's WireClientHello: from the packet
+/// payload when one TCP segment carries it, else from the bytes buffered so
+/// far.
 class HandshakeExtractor {
  public:
   /// Returns true if the packet advanced the handshake state (i.e. was a
@@ -50,19 +58,21 @@ class HandshakeExtractor {
   bool feed(const net::DecodedPacket& packet);
 
   bool complete() const { return complete_; }
-  /// The client sent more than a ClientHello's worth of data without one:
-  /// not a TLS flow, and no later packet can change that.
+  /// The client sent more than kMaxClientHelloStream bytes without a
+  /// ClientHello (over TCP), or a CRYPTO frame reaching past that offset
+  /// (over QUIC): not a TLS flow, and no later packet can change that.
   bool failed() const { return failed_; }
   const std::optional<FlowHandshake>& handshake() const { return result_; }
 
-  /// The SNI observed in the ClientHello (a view into the parsed
-  /// ClientHello, valid while the extractor lives), empty until complete.
+  /// The SNI observed in the ClientHello (a view into the handshake's
+  /// buffer, valid while the extractor lives), empty until complete.
   std::string_view sni() const;
 
  private:
   bool feed_tcp(const net::DecodedPacket& packet);
   bool feed_quic(const net::DecodedPacket& packet);
-  void finish_with_chlo(tls::ClientHello chlo);
+  /// Marks the handshake complete once result_->chlo holds the hello.
+  void finish();
 
   std::optional<FlowHandshake> result_;
   bool seen_syn_ = false;
@@ -70,7 +80,9 @@ class HandshakeExtractor {
   bool complete_ = false;
   bool failed_ = false;
   quic::CryptoReassembler reassembler_;
-  Bytes tcp_stream_;  // client-to-server TCP payload bytes accumulated
+  /// Client-to-server TCP payload, buffered only once the first segment
+  /// alone did not parse.
+  Bytes tcp_stream_;
   std::optional<net::IpAddr> client_addr_;
   std::uint16_t client_port_ = 0;
 };

@@ -24,8 +24,8 @@ SeedCase make_seed(synth::FlowSynthesizer& synth, Rng& rng,
   seed.chlo = synth.build_client_hello(profile, sni);
   seed.record = seed.chlo.serialize_record();
   seed.handshake = seed.chlo.serialize_handshake();
-  if (const auto tp = seed.chlo.quic_transport_parameters())
-    seed.tp_body.assign(tp->begin(), tp->end());
+  if (const auto* tp = seed.chlo.find(tls::ext::kQuicTransportParameters))
+    seed.tp_body = tp->body;
 
   seed.dcid.resize(profile.quic.dcid_len ? profile.quic.dcid_len : 8);
   for (auto& b : seed.dcid) b = static_cast<std::uint8_t>(rng.next_u32());

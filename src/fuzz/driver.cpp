@@ -120,13 +120,12 @@ TortureReport torture_classifier(const std::vector<SeedCase>& corpus,
     OracleResult result;
     const Bytes mutant = m.mutate_record(seed);
     try {
-      const auto chlo = tls::ClientHello::parse_record(mutant);
-      if (!chlo) return result;  // garbage rejected upstream of the bank
+      core::FlowHandshake hs;
+      if (!hs.chlo.parse_record(mutant))
+        return result;  // garbage rejected upstream of the bank
       result.accepted = true;
 
-      core::FlowHandshake hs;
       hs.transport = seed.transport;
-      hs.chlo = *chlo;
       if (const auto tp_body = hs.chlo.quic_transport_parameters())
         hs.quic_tp = quic::TransportParameters::parse(*tp_body);
       if (hs.transport == fingerprint::Transport::Quic && !hs.quic_tp)

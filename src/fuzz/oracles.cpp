@@ -26,7 +26,7 @@ std::string describe(const char* what, ByteView mutant) {
 /// Builds the handshake observation the attribute extractor consumes. When
 /// the ClientHello embeds parseable transport parameters the flow counts as
 /// QUIC so the q* attributes are exercised too.
-core::FlowHandshake to_flow_handshake(tls::ClientHello chlo) {
+core::FlowHandshake to_flow_handshake(const tls::WireClientHello& chlo) {
   core::FlowHandshake hs;
   if (const auto tp_body = chlo.quic_transport_parameters()) {
     if (auto tp = quic::TransportParameters::parse(*tp_body)) {
@@ -34,25 +34,27 @@ core::FlowHandshake to_flow_handshake(tls::ClientHello chlo) {
       hs.quic_tp = std::move(tp);
     }
   }
-  hs.chlo = std::move(chlo);
+  hs.chlo = chlo;
   return hs;
 }
 
-/// Oracles (a) + (b) on an already-parsed ClientHello; `reparse` re-ingests
-/// the serialized form through the same entry point the mutant came in on.
-template <typename Reparse>
-OracleResult check_parsed(const tls::ClientHello& chlo, ByteView mutant,
-                          const Bytes& serialized, Reparse reparse) {
+/// Oracles (a) + (b) on a hello that parsed from `mutant`; `parse`
+/// re-ingests the serialized structural form through the same entry point
+/// the mutant came in on.
+template <typename Parse, typename Serialize>
+OracleResult check_parsed(const tls::WireClientHello& wire, ByteView mutant,
+                          Parse parse, Serialize serialize) {
   OracleResult result;
   result.accepted = true;
 
-  const auto again = reparse(serialized);
-  if (!again) {
+  const auto chlo = tls::ClientHello::from_wire(wire);
+  tls::WireClientHello again;
+  if (!parse(again, serialize(chlo))) {
     result.failure = describe("fixpoint: serialize of accepted parse rejected",
                               mutant);
     return result;
   }
-  if (!(*again == chlo)) {
+  if (!(tls::ClientHello::from_wire(again) == chlo)) {
     result.failure = describe("fixpoint: re-parse differs from first parse",
                               mutant);
     return result;
@@ -62,8 +64,8 @@ OracleResult check_parsed(const tls::ClientHello& chlo, ByteView mutant,
   // to different strings and mask a divergence.
   core::TokenInterner interner;
   core::RawAttrs first{}, second{};
-  core::extract_raw_attributes(to_flow_handshake(chlo), interner, first);
-  core::extract_raw_attributes(to_flow_handshake(*again), interner, second);
+  core::extract_raw_attributes(to_flow_handshake(wire), interner, first);
+  core::extract_raw_attributes(to_flow_handshake(again), interner, second);
   if (!raw_attrs_equal(first, second))
     result.failure = describe("attrs: RawAttrs differ across re-parse", mutant);
   return result;
@@ -85,12 +87,14 @@ bool raw_attrs_equal(const core::RawAttrs& a, const core::RawAttrs& b) {
 
 OracleResult check_tls_record(ByteView data) {
   try {
-    const auto chlo = tls::ClientHello::parse_record(data);
-    if (!chlo) return {};
-    return check_parsed(*chlo, data, chlo->serialize_record(),
-                        [](const Bytes& b) {
-                          return tls::ClientHello::parse_record(b);
-                        });
+    tls::WireClientHello wire;
+    if (!wire.parse_record(data)) return {};
+    return check_parsed(
+        wire, data,
+        [](tls::WireClientHello& w, const Bytes& b) {
+          return w.parse_record(b);
+        },
+        [](const tls::ClientHello& c) { return c.serialize_record(); });
   } catch (const std::exception& e) {
     return {.accepted = false,
             .failure = describe(e.what(), data)};
@@ -99,12 +103,14 @@ OracleResult check_tls_record(ByteView data) {
 
 OracleResult check_tls_handshake(ByteView data) {
   try {
-    const auto chlo = tls::ClientHello::parse_handshake(data);
-    if (!chlo) return {};
-    return check_parsed(*chlo, data, chlo->serialize_handshake(),
-                        [](const Bytes& b) {
-                          return tls::ClientHello::parse_handshake(b);
-                        });
+    tls::WireClientHello wire;
+    if (!wire.parse_handshake(data)) return {};
+    return check_parsed(
+        wire, data,
+        [](tls::WireClientHello& w, const Bytes& b) {
+          return w.parse_handshake(b);
+        },
+        [](const tls::ClientHello& c) { return c.serialize_handshake(); });
   } catch (const std::exception& e) {
     return {.accepted = false,
             .failure = describe(e.what(), data)};
@@ -146,8 +152,7 @@ OracleResult check_initial_flight(const std::vector<Bytes>& datagrams) {
       }
     }
     if (!any) return {};
-    const Bytes stream = reassembler.contiguous_prefix();
-    return check_tls_handshake(stream);
+    return check_tls_handshake(reassembler.prefix());
   } catch (const std::exception& e) {
     std::string all;
     for (const auto& dg : datagrams) {

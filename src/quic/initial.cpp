@@ -219,23 +219,62 @@ std::optional<InitialPacket> unprotect_client_initial(ByteView datagram) {
   return out;
 }
 
-void CryptoReassembler::add(const InitialPacket& packet) {
-  for (const auto& frag : packet.crypto_fragments) fragments_.push_back(frag);
+bool CryptoReassembler::add(const InitialPacket& packet) {
+  for (const auto& [offset, data] : packet.crypto_fragments)
+    if (!add_fragment(offset, data)) return false;
+  return true;
+}
+
+bool CryptoReassembler::add_fragment(std::uint64_t offset, ByteView data) {
+  if (offset > kMaxCryptoStream || data.size() > kMaxCryptoStream - offset)
+    return false;
+  if (data.empty()) return true;
+  const auto begin = static_cast<std::size_t>(offset);
+  const std::size_t end = begin + data.size();
+  if (buffer_.size() < end) buffer_.resize(end);
+  const auto fill = [&](std::size_t from, std::size_t to) {
+    std::copy(data.begin() + static_cast<std::ptrdiff_t>(from - begin),
+              data.begin() + static_cast<std::ptrdiff_t>(to - begin),
+              buffer_.begin() + static_cast<std::ptrdiff_t>(from));
+  };
+  // Copy only the gaps between the ranges this fragment overlaps or
+  // touches, then merge those ranges and the fragment into one.
+  auto first = std::lower_bound(
+      ranges_.begin(), ranges_.end(), begin,
+      [](const auto& range, std::size_t at) { return range.second < at; });
+  auto it = first;
+  std::size_t cursor = begin;
+  std::pair<std::size_t, std::size_t> merged{begin, end};
+  for (; it != ranges_.end() && it->first <= end; ++it) {
+    if (it->first > cursor) fill(cursor, it->first);
+    cursor = std::max(cursor, it->second);
+    merged.first = std::min(merged.first, it->first);
+    merged.second = std::max(merged.second, it->second);
+  }
+  if (cursor < end) fill(cursor, end);
+  if (first == it) {
+    ranges_.insert(first, merged);
+  } else {
+    *first = merged;
+    ranges_.erase(first + 1, it);
+  }
+  return true;
+}
+
+ByteView CryptoReassembler::prefix() const {
+  if (ranges_.empty() || ranges_.front().first != 0) return {};
+  return ByteView(buffer_).first(ranges_.front().second);
 }
 
 Bytes CryptoReassembler::contiguous_prefix() const {
-  auto sorted = fragments_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  Bytes out;
-  for (const auto& [off, data] : sorted) {
-    if (off > out.size()) break;  // gap
-    if (off + data.size() <= out.size()) continue;  // fully duplicate
-    const std::size_t skip = out.size() - static_cast<std::size_t>(off);
-    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(skip),
-               data.end());
-  }
-  return out;
+  const ByteView p = prefix();
+  return Bytes(p.begin(), p.end());
+}
+
+std::size_t CryptoReassembler::received_bytes() const {
+  std::size_t total = 0;
+  for (const auto& [begin, end] : ranges_) total += end - begin;
+  return total;
 }
 
 }  // namespace vpscope::quic

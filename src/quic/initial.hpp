@@ -26,6 +26,9 @@ namespace vpscope::quic {
 
 inline constexpr std::uint32_t kQuicVersion1 = 0x00000001;
 inline constexpr std::size_t kMinInitialDatagram = 1200;
+/// The CRYPTO stream bytes a CryptoReassembler holds at most: a ClientHello
+/// comfortably fits, and a frame reaching past it is refused.
+inline constexpr std::size_t kMaxCryptoStream = 16384;
 
 /// Cleartext view of one Initial packet (after header/payload unprotection).
 struct InitialPacket {
@@ -64,18 +67,29 @@ std::vector<Bytes> build_client_initial_flight(
 /// the datagram is not a v1 Initial or authentication fails.
 std::optional<InitialPacket> unprotect_client_initial(ByteView datagram);
 
-/// Convenience for observers: feeds datagrams of one flow in order and
-/// reassembles the CRYPTO stream. Returns nullopt until the stream is
-/// gapless from offset 0; callers typically stop as soon as a full
-/// ClientHello parses.
+/// Reassembles the client's CRYPTO stream from the Initials of one flow, in
+/// any arrival order, into one buffer with the ranges received so far.
+/// Bytes already received at an offset keep their first value (RFC 9000
+/// §2.2), so a duplicated or overlapping fragment never grows what is held.
 class CryptoReassembler {
  public:
-  void add(const InitialPacket& packet);
-  /// Contiguous prefix of the CRYPTO stream assembled so far.
+  /// Adds the packet's CRYPTO fragments. Returns false, refusing the rest
+  /// of the packet, when a fragment would end past kMaxCryptoStream.
+  bool add(const InitialPacket& packet);
+  /// The gapless prefix of the stream from offset 0, in place (valid until
+  /// the next add).
+  ByteView prefix() const;
+  /// A copy of prefix().
   Bytes contiguous_prefix() const;
+  /// Stream bytes held: the union of the fragments' ranges.
+  std::size_t received_bytes() const;
 
  private:
-  std::vector<std::pair<std::uint64_t, Bytes>> fragments_;
+  bool add_fragment(std::uint64_t offset, ByteView data);
+
+  Bytes buffer_;  // stream bytes at their offsets; unreceived bytes are 0
+  /// Received [begin, end) ranges, sorted, disjoint and never adjacent.
+  std::vector<std::pair<std::size_t, std::size_t>> ranges_;
 };
 
 /// True if the datagram looks like a QUIC v1 long-header Initial (cheap

@@ -381,8 +381,8 @@ LabeledFlow FlowSynthesizer::synthesize(const StackProfile& base_profile,
     // The on-wire SCID must match initial_source_connection_id in the TP;
     // build_client_hello randomized it, so recover it from the CHLO we built.
     Bytes scid;
-    if (const auto tp_body = chlo.quic_transport_parameters()) {
-      if (const auto tp = quic::TransportParameters::parse(*tp_body))
+    if (const auto* tp_ext = chlo.find(tls::ext::kQuicTransportParameters)) {
+      if (const auto tp = quic::TransportParameters::parse(tp_ext->body))
         scid = tp->initial_source_connection_id;
     }
 

@@ -20,33 +20,6 @@ Bytes u16_list_body(const std::vector<std::uint16_t>& values) {
   return std::move(w).take();
 }
 
-std::optional<std::vector<std::uint16_t>> parse_u16_list_body(ByteView body) {
-  Reader r(body);
-  const std::uint16_t len = r.u16();
-  if (!r.ok() || len % 2 != 0 || r.remaining() < len) return std::nullopt;
-  std::vector<std::uint16_t> out;
-  out.reserve(len / 2);
-  for (int i = 0; i < len / 2; ++i) out.push_back(r.u16());
-  return r.ok() ? std::optional(std::move(out)) : std::nullopt;
-}
-
-std::optional<std::vector<std::string>> parse_alpn_body(ByteView body) {
-  Reader outer(body);
-  const std::uint16_t list_len = outer.u16();
-  if (!outer.ok() || outer.remaining() < list_len) return std::nullopt;
-  // Confine to the declared list region: an entry whose length would
-  // straddle the list boundary must fail instead of consuming sibling bytes.
-  Reader r(outer.view(list_len));
-  std::vector<std::string> out;
-  while (!r.empty()) {
-    const std::uint8_t plen = r.u8();
-    const ByteView name = r.view(plen);
-    if (!r.ok()) return std::nullopt;
-    out.emplace_back(reinterpret_cast<const char*>(name.data()), name.size());
-  }
-  return out;
-}
-
 Bytes alpn_body(const std::vector<std::string>& protocols) {
   Writer inner;
   for (const auto& p : protocols) {
@@ -77,11 +50,129 @@ std::size_t key_share_len_for_group(std::uint16_t grp) {
   }
 }
 
+/// Sum of serialized extension bytes (the extensions_length field value).
+std::size_t extensions_length(const ClientHello& c) {
+  std::size_t total = 0;
+  for (const auto& e : c.extensions) total += 4 + e.body.size();
+  return total;
+}
+
+/// Length of the serialized handshake body (the Handshake.length value).
+std::size_t body_length(const ClientHello& c) {
+  // version(2) + random(32) + session_id(1+n) + suites(2+2n) +
+  // compression(1+n) + extensions(2 + total)
+  return 2 + 32 + 1 + c.session_id.size() + 2 + c.cipher_suites.size() * 2 +
+         1 + c.compression_methods.size() + 2 + extensions_length(c);
+}
+
+std::uint16_t be16(ByteView b, std::size_t at) {
+  return static_cast<std::uint16_t>(b[at] << 8 | b[at + 1]);
+}
+
+// ---- extension body walkers ----
+// Each walks one extension body, hands every item to `push` and returns
+// false when the body is malformed. WireClientHello's *_into decoders push
+// into fixed storage, ClientHello's allocating decoders into vectors, so
+// both forms accept and reject exactly the same bodies.
+
+/// u16-length-prefixed list of u16 values (supported_groups, sigalgs,
+/// delegated_credentials).
+constexpr auto walk_u16_list = [](ByteView body, auto&& push) {
+  Reader r(body);
+  const std::uint16_t len = r.u16();
+  if (!r.ok() || len % 2 != 0 || r.remaining() < len) return false;
+  for (int i = 0; i < len / 2; ++i) push(r.u16());
+  return r.ok();
+};
+
+/// u8-length-prefixed list of u16 values (supported_versions,
+/// compress_certificate).
+constexpr auto walk_u8_prefixed_u16_list = [](ByteView body, auto&& push) {
+  Reader r(body);
+  const std::uint8_t len = r.u8();
+  if (!r.ok() || len % 2 != 0 || r.remaining() < len) return false;
+  for (int i = 0; i < len / 2; ++i) push(r.u16());
+  return r.ok();
+};
+
+/// u8-length-prefixed list of u8 values (ec_point_formats, psk modes).
+constexpr auto walk_u8_list = [](ByteView body, auto&& push) {
+  Reader r(body);
+  const std::uint8_t len = r.u8();
+  if (!r.ok() || r.remaining() < len) return false;
+  for (int i = 0; i < len; ++i) push(r.u8());
+  return r.ok();
+};
+
+/// u16-length-prefixed list of u8-length-prefixed names (ALPN, ALPS); the
+/// names point into `body`.
+constexpr auto walk_names = [](ByteView body, auto&& push) {
+  Reader outer(body);
+  const std::uint16_t list_len = outer.u16();
+  if (!outer.ok() || outer.remaining() < list_len) return false;
+  // Confine to the declared list region: an entry whose length would
+  // straddle the list boundary must fail instead of consuming sibling bytes.
+  Reader r(outer.view(list_len));
+  while (!r.empty()) {
+    const std::uint8_t plen = r.u8();
+    const ByteView name = r.view(plen);
+    if (!r.ok()) return false;
+    push(std::string_view(reinterpret_cast<const char*>(name.data()),
+                          name.size()));
+  }
+  return true;
+};
+
+/// key_share client_shares: the group of each entry, in order.
+constexpr auto walk_key_share_groups = [](ByteView body, auto&& push) {
+  Reader outer(body);
+  const std::uint16_t list_len = outer.u16();
+  if (!outer.ok() || outer.remaining() < list_len) return false;
+  Reader r(outer.view(list_len));  // entries must not straddle the boundary
+  while (!r.empty()) {
+    const std::uint16_t grp = r.u16();
+    const std::uint16_t klen = r.u16();
+    r.skip(klen);
+    if (!r.ok()) return false;
+    push(grp);
+  }
+  return true;
+};
+
+/// server_name: the host_name entry heading the server-name list.
+std::optional<std::string_view> host_name(ByteView body) {
+  Reader outer(body);
+  const std::uint16_t list_len = outer.u16();
+  if (!outer.ok() || outer.remaining() < list_len) return std::nullopt;
+  Reader r(outer.view(list_len));  // the name must fit inside the list
+  const std::uint8_t name_type = r.u8();
+  if (name_type != 0) return std::nullopt;  // host_name
+  const std::uint16_t name_len = r.u16();
+  const ByteView name = r.view(name_len);
+  if (!r.ok()) return std::nullopt;
+  return std::string_view(reinterpret_cast<const char*>(name.data()),
+                          name.size());
+}
+
+/// A walker's items collected into a vector (the allocating decoders).
+template <typename T, typename Walk>
+std::optional<std::vector<T>> collect(const Extension* e, Walk walk) {
+  if (!e) return std::nullopt;
+  std::vector<T> out;
+  if (!walk(ByteView(e->body), [&](auto item) { out.emplace_back(item); }))
+    return std::nullopt;
+  return out;
+}
+
+/// A walker's items pushed into fixed storage (the *_into decoders).
+template <typename List, typename Walk>
+bool into(const std::optional<ByteView>& body, Walk walk, List& out) {
+  return body && walk(*body, [&](auto item) { out.push(item); });
+}
+
 }  // namespace
 
-bool ClientHello::has_extension(std::uint16_t type) const {
-  return find(type) != nullptr;
-}
+// ---- ClientHello: structural helpers and allocating decoders ----
 
 const Extension* ClientHello::find(std::uint16_t type) const {
   for (const auto& e : extensions)
@@ -102,268 +193,217 @@ std::vector<std::uint16_t> ClientHello::extension_types() const {
   return out;
 }
 
-std::size_t ClientHello::extensions_length() const {
-  std::size_t total = 0;
-  for (const auto& e : extensions) total += 4 + e.body.size();
-  return total;
-}
-
-std::size_t ClientHello::handshake_body_length() const {
-  // version(2) + random(32) + session_id(1+n) + suites(2+2n) +
-  // compression(1+n) + extensions(2 + total)
-  return 2 + 32 + 1 + session_id.size() + 2 + cipher_suites.size() * 2 + 1 +
-         compression_methods.size() + 2 + extensions_length();
-}
-
 std::optional<std::string> ClientHello::server_name() const {
   const Extension* e = find(ext::kServerName);
   if (!e) return std::nullopt;
-  Reader outer(e->body);
-  const std::uint16_t list_len = outer.u16();
-  if (!outer.ok() || outer.remaining() < list_len) return std::nullopt;
-  Reader r(outer.view(list_len));  // the name must fit inside the list
-  const std::uint8_t name_type = r.u8();
-  if (name_type != 0) return std::nullopt;  // host_name
-  const std::uint16_t name_len = r.u16();
-  const ByteView name = r.view(name_len);
-  if (!r.ok()) return std::nullopt;
-  return std::string(reinterpret_cast<const char*>(name.data()), name.size());
+  const auto name = host_name(e->body);
+  if (!name) return std::nullopt;
+  return std::string(*name);
 }
 
 std::optional<std::vector<std::uint16_t>> ClientHello::supported_groups()
     const {
-  const Extension* e = find(ext::kSupportedGroups);
-  return e ? parse_u16_list_body(e->body) : std::nullopt;
+  return collect<std::uint16_t>(find(ext::kSupportedGroups), walk_u16_list);
 }
 
 std::optional<std::vector<std::uint8_t>> ClientHello::ec_point_formats()
     const {
-  const Extension* e = find(ext::kEcPointFormats);
-  if (!e) return std::nullopt;
-  Reader r(e->body);
-  const std::uint8_t len = r.u8();
-  if (!r.ok() || r.remaining() < len) return std::nullopt;
-  const Bytes formats = r.bytes(len);
-  return std::vector<std::uint8_t>(formats.begin(), formats.end());
+  return collect<std::uint8_t>(find(ext::kEcPointFormats), walk_u8_list);
 }
 
 std::optional<std::vector<std::uint16_t>> ClientHello::signature_algorithms()
     const {
-  const Extension* e = find(ext::kSignatureAlgorithms);
-  return e ? parse_u16_list_body(e->body) : std::nullopt;
+  return collect<std::uint16_t>(find(ext::kSignatureAlgorithms),
+                                walk_u16_list);
 }
 
 std::optional<std::vector<std::string>> ClientHello::alpn_protocols() const {
-  const Extension* e = find(ext::kAlpn);
-  return e ? parse_alpn_body(e->body) : std::nullopt;
+  return collect<std::string>(find(ext::kAlpn), walk_names);
 }
 
 std::optional<std::vector<std::uint16_t>> ClientHello::supported_versions()
     const {
-  const Extension* e = find(ext::kSupportedVersions);
-  if (!e) return std::nullopt;
-  Reader r(e->body);
-  const std::uint8_t len = r.u8();
-  if (!r.ok() || len % 2 != 0 || r.remaining() < len) return std::nullopt;
-  std::vector<std::uint16_t> out;
-  for (int i = 0; i < len / 2; ++i) out.push_back(r.u16());
-  return r.ok() ? std::optional(std::move(out)) : std::nullopt;
+  return collect<std::uint16_t>(find(ext::kSupportedVersions),
+                                walk_u8_prefixed_u16_list);
 }
 
 std::optional<std::vector<std::uint8_t>> ClientHello::psk_key_exchange_modes()
     const {
-  const Extension* e = find(ext::kPskKeyExchangeModes);
-  if (!e) return std::nullopt;
-  Reader r(e->body);
-  const std::uint8_t len = r.u8();
-  if (!r.ok() || r.remaining() < len) return std::nullopt;
-  const Bytes modes = r.bytes(len);
-  return std::vector<std::uint8_t>(modes.begin(), modes.end());
+  return collect<std::uint8_t>(find(ext::kPskKeyExchangeModes), walk_u8_list);
 }
 
 std::optional<std::vector<std::uint16_t>> ClientHello::key_share_groups()
     const {
-  const Extension* e = find(ext::kKeyShare);
-  if (!e) return std::nullopt;
-  Reader outer(e->body);
-  const std::uint16_t list_len = outer.u16();
-  if (!outer.ok() || outer.remaining() < list_len) return std::nullopt;
-  Reader r(outer.view(list_len));  // entries must not straddle the boundary
-  std::vector<std::uint16_t> out;
-  while (!r.empty()) {
-    const std::uint16_t grp = r.u16();
-    const std::uint16_t klen = r.u16();
-    r.skip(klen);
-    if (!r.ok()) return std::nullopt;
-    out.push_back(grp);
-  }
-  return out;
+  return collect<std::uint16_t>(find(ext::kKeyShare), walk_key_share_groups);
 }
 
 std::optional<std::vector<std::uint16_t>> ClientHello::compress_certificate()
     const {
-  const Extension* e = find(ext::kCompressCertificate);
-  if (!e) return std::nullopt;
-  Reader r(e->body);
-  const std::uint8_t len = r.u8();
-  if (!r.ok() || len % 2 != 0 || r.remaining() < len) return std::nullopt;
-  std::vector<std::uint16_t> out;
-  for (int i = 0; i < len / 2; ++i) out.push_back(r.u16());
-  return r.ok() ? std::optional(std::move(out)) : std::nullopt;
-}
-
-std::optional<std::uint16_t> ClientHello::record_size_limit() const {
-  const Extension* e = find(ext::kRecordSizeLimit);
-  if (!e || e->body.size() != 2) return std::nullopt;
-  return static_cast<std::uint16_t>(e->body[0] << 8 | e->body[1]);
+  return collect<std::uint16_t>(find(ext::kCompressCertificate),
+                                walk_u8_prefixed_u16_list);
 }
 
 std::optional<std::vector<std::uint16_t>> ClientHello::delegated_credentials()
     const {
-  const Extension* e = find(ext::kDelegatedCredentials);
-  return e ? parse_u16_list_body(e->body) : std::nullopt;
+  return collect<std::uint16_t>(find(ext::kDelegatedCredentials),
+                                walk_u16_list);
 }
 
 std::optional<std::vector<std::string>> ClientHello::application_settings()
     const {
   const Extension* e = find(ext::kApplicationSettings);
   if (!e) e = find(ext::kApplicationSettingsNew);
-  return e ? parse_alpn_body(e->body) : std::nullopt;
+  return collect<std::string>(e, walk_names);
 }
 
-std::optional<ByteView> ClientHello::quic_transport_parameters() const {
-  const Extension* e = find(ext::kQuicTransportParameters);
-  if (!e) return std::nullopt;
-  return ByteView{e->body};
-}
+// ---- WireClientHello: the parser and the in-place decoders ----
 
-namespace {
-
-/// u16-length-prefixed list of u16 values (supported_groups, sigalgs, ...),
-/// the view twin of parse_u16_list_body.
-bool u16_list_into(ByteView body, U16View& out) {
+bool WireClientHello::parse_handshake(ByteView data) {
+  *this = WireClientHello();
+  Reader outer(data);
+  const std::uint8_t msg_type = outer.u8();
+  const std::uint32_t msg_len = outer.u24();
+  if (!outer.ok() || msg_type != kHandshakeTypeClientHello ||
+      outer.remaining() < msg_len)
+    return false;
+  // Confine all reads to the declared body. Callers legitimately pass
+  // trailing bytes (a reassembled CRYPTO stream prefix, an accumulated TCP
+  // stream), and those must never be parsed as ClientHello content.
+  const ByteView body = outer.view(msg_len);
   Reader r(body);
+
+  const std::uint16_t version = r.u16();
+  r.skip(32);  // random
+  if (!r.ok()) return false;
+  const std::uint8_t sid_len = r.u8();
+  r.skip(sid_len);
+  const std::uint16_t suites_len = r.u16();
+  if (!r.ok() || suites_len % 2 != 0) return false;
+  const std::size_t suites_at = r.offset();
+  r.skip(suites_len);
+  const std::uint8_t comp_len = r.u8();
+  const std::size_t comp_at = r.offset();
+  r.skip(comp_len);
+  if (!r.ok()) return false;
+
+  // Extensions are technically optional.
+  const bool has_ext_block = !r.empty();
+  std::uint16_t ext_len = 0;
+  std::array<std::uint16_t, kIndexedTypes> first_entry{};
+  if (has_ext_block) {
+    // The extensions block is the last field of the body: its declared
+    // length must account for every remaining byte, and entries must
+    // consume it exactly (no extension may straddle the end of the message).
+    ext_len = r.u16();
+    if (!r.ok() || r.remaining() != ext_len) return false;
+    const ByteView block = body.subspan(r.offset());
+    for (std::size_t at = 0; at < block.size();) {
+      if (block.size() - at < 4) return false;
+      const std::uint16_t type = be16(block, at);
+      if (type < kIndexedTypes && first_entry[type] == 0)
+        first_entry[type] = static_cast<std::uint16_t>(at + 1);
+      at += 4 + std::size_t{be16(block, at + 2)};
+      if (at > block.size()) return false;
+    }
+  }
+
+  body_.assign(body.begin(), body.end());
+  legacy_version_ = version;
+  session_id_len_ = sid_len;
+  suites_at_ = static_cast<std::uint32_t>(suites_at);
+  suites_len_ = suites_len;
+  comp_at_ = static_cast<std::uint32_t>(comp_at);
+  comp_len_ = comp_len;
+  ext_at_ = static_cast<std::uint32_t>(r.offset());
+  ext_len_ = ext_len;
+  has_ext_block_ = has_ext_block;
+  first_entry_ = first_entry;
+  return true;
+}
+
+bool WireClientHello::parse_record(ByteView data) {
+  Reader r(data);
+  const std::uint8_t content_type = r.u8();
+  r.u16();  // legacy record version, don't care
   const std::uint16_t len = r.u16();
-  if (!r.ok() || len % 2 != 0 || r.remaining() < len) return false;
-  for (int i = 0; i < len / 2; ++i) out.push(r.u16());
-  return r.ok();
-}
-
-/// u8-length-prefixed list of u16 values (supported_versions,
-/// compress_certificate).
-bool u8_prefixed_u16_list_into(ByteView body, U16View& out) {
-  Reader r(body);
-  const std::uint8_t len = r.u8();
-  if (!r.ok() || len % 2 != 0 || r.remaining() < len) return false;
-  for (int i = 0; i < len / 2; ++i) out.push(r.u16());
-  return r.ok();
-}
-
-/// u8-length-prefixed list of u8 values (ec_point_formats, psk modes).
-bool u8_list_into(ByteView body, U8View& out) {
-  Reader r(body);
-  const std::uint8_t len = r.u8();
-  if (!r.ok() || r.remaining() < len) return false;
-  for (int i = 0; i < len; ++i) out.push(r.u8());
-  return r.ok();
-}
-
-/// The view twin of parse_alpn_body; names point into `body`.
-bool alpn_into(ByteView body, NameView& out) {
-  Reader outer(body);
-  const std::uint16_t list_len = outer.u16();
-  if (!outer.ok() || outer.remaining() < list_len) return false;
-  Reader r(outer.view(list_len));  // see parse_alpn_body
-  while (!r.empty()) {
-    const std::uint8_t plen = r.u8();
-    const ByteView name = r.view(plen);
-    if (!r.ok()) return false;
-    out.push(std::string_view(reinterpret_cast<const char*>(name.data()),
-                              name.size()));
+  if (!r.ok() || content_type != kContentTypeHandshake || r.remaining() < len) {
+    *this = WireClientHello();
+    return false;
   }
-  return true;
+  return parse_handshake(r.view(len));
 }
 
-}  // namespace
-
-std::optional<std::string_view> ClientHello::server_name_view() const {
-  const Extension* e = find(ext::kServerName);
-  if (!e) return std::nullopt;
-  Reader outer(e->body);
-  const std::uint16_t list_len = outer.u16();
-  if (!outer.ok() || outer.remaining() < list_len) return std::nullopt;
-  Reader r(outer.view(list_len));  // see server_name()
-  const std::uint8_t name_type = r.u8();
-  if (name_type != 0) return std::nullopt;  // host_name
-  const std::uint16_t name_len = r.u16();
-  const ByteView name = r.view(name_len);
-  if (!r.ok()) return std::nullopt;
-  return std::string_view(reinterpret_cast<const char*>(name.data()),
-                          name.size());
-}
-
-bool ClientHello::supported_groups_into(U16View& out) const {
-  const Extension* e = find(ext::kSupportedGroups);
-  return e && u16_list_into(e->body, out);
-}
-
-bool ClientHello::signature_algorithms_into(U16View& out) const {
-  const Extension* e = find(ext::kSignatureAlgorithms);
-  return e && u16_list_into(e->body, out);
-}
-
-bool ClientHello::supported_versions_into(U16View& out) const {
-  const Extension* e = find(ext::kSupportedVersions);
-  return e && u8_prefixed_u16_list_into(e->body, out);
-}
-
-bool ClientHello::compress_certificate_into(U16View& out) const {
-  const Extension* e = find(ext::kCompressCertificate);
-  return e && u8_prefixed_u16_list_into(e->body, out);
-}
-
-bool ClientHello::delegated_credentials_into(U16View& out) const {
-  const Extension* e = find(ext::kDelegatedCredentials);
-  return e && u16_list_into(e->body, out);
-}
-
-bool ClientHello::key_share_groups_into(U16View& out) const {
-  const Extension* e = find(ext::kKeyShare);
-  if (!e) return false;
-  Reader outer(e->body);
-  const std::uint16_t list_len = outer.u16();
-  if (!outer.ok() || outer.remaining() < list_len) return false;
-  Reader r(outer.view(list_len));  // see key_share_groups()
-  while (!r.empty()) {
-    const std::uint16_t grp = r.u16();
-    const std::uint16_t klen = r.u16();
-    r.skip(klen);
-    if (!r.ok()) return false;
-    out.push(grp);
+std::optional<ByteView> WireClientHello::find(std::uint16_t type) const {
+  if (type < kIndexedTypes) {
+    if (first_entry_[type] == 0) return std::nullopt;
+    const ByteView block = field(ext_at_, ext_len_);
+    const std::size_t at = first_entry_[type] - 1u;
+    return block.subspan(at + 4, be16(block, at + 2));
   }
-  return true;
+  for (const ExtensionView e : extensions())
+    if (e.type == type) return e.body;
+  return std::nullopt;
 }
 
-bool ClientHello::ec_point_formats_into(U8View& out) const {
-  const Extension* e = find(ext::kEcPointFormats);
-  return e && u8_list_into(e->body, out);
+std::optional<std::string_view> WireClientHello::server_name_view() const {
+  const auto body = find(ext::kServerName);
+  return body ? host_name(*body) : std::nullopt;
 }
 
-bool ClientHello::psk_key_exchange_modes_into(U8View& out) const {
-  const Extension* e = find(ext::kPskKeyExchangeModes);
-  return e && u8_list_into(e->body, out);
+std::optional<std::uint16_t> WireClientHello::record_size_limit() const {
+  const auto body = find(ext::kRecordSizeLimit);
+  if (!body || body->size() != 2) return std::nullopt;
+  return be16(*body, 0);
 }
 
-bool ClientHello::alpn_protocols_into(NameView& out) const {
-  const Extension* e = find(ext::kAlpn);
-  return e && alpn_into(e->body, out);
+std::optional<ByteView> WireClientHello::quic_transport_parameters() const {
+  return find(ext::kQuicTransportParameters);
 }
 
-bool ClientHello::application_settings_into(NameView& out) const {
-  const Extension* e = find(ext::kApplicationSettings);
-  if (!e) e = find(ext::kApplicationSettingsNew);
-  return e && alpn_into(e->body, out);
+bool WireClientHello::supported_groups_into(U16View& out) const {
+  return into(find(ext::kSupportedGroups), walk_u16_list, out);
 }
+
+bool WireClientHello::signature_algorithms_into(U16View& out) const {
+  return into(find(ext::kSignatureAlgorithms), walk_u16_list, out);
+}
+
+bool WireClientHello::supported_versions_into(U16View& out) const {
+  return into(find(ext::kSupportedVersions), walk_u8_prefixed_u16_list, out);
+}
+
+bool WireClientHello::compress_certificate_into(U16View& out) const {
+  return into(find(ext::kCompressCertificate), walk_u8_prefixed_u16_list,
+              out);
+}
+
+bool WireClientHello::delegated_credentials_into(U16View& out) const {
+  return into(find(ext::kDelegatedCredentials), walk_u16_list, out);
+}
+
+bool WireClientHello::key_share_groups_into(U16View& out) const {
+  return into(find(ext::kKeyShare), walk_key_share_groups, out);
+}
+
+bool WireClientHello::ec_point_formats_into(U8View& out) const {
+  return into(find(ext::kEcPointFormats), walk_u8_list, out);
+}
+
+bool WireClientHello::psk_key_exchange_modes_into(U8View& out) const {
+  return into(find(ext::kPskKeyExchangeModes), walk_u8_list, out);
+}
+
+bool WireClientHello::alpn_protocols_into(NameView& out) const {
+  return into(find(ext::kAlpn), walk_names, out);
+}
+
+bool WireClientHello::application_settings_into(NameView& out) const {
+  auto body = find(ext::kApplicationSettings);
+  if (!body) body = find(ext::kApplicationSettingsNew);
+  return into(body, walk_names, out);
+}
+
+// ---- ClientHello: builders ----
 
 void ClientHello::add_server_name(std::string_view host) {
   Writer w;
@@ -485,7 +525,7 @@ void ClientHello::add_renegotiation_info() {
 }
 
 void ClientHello::add_padding_to(std::size_t target_len) {
-  const std::size_t current = handshake_body_length();
+  const std::size_t current = body_length(*this);
   if (current + 4 >= target_len) return;  // +4: padding extension header
   extensions.push_back({ext::kPadding, Bytes(target_len - current - 4, 0)});
 }
@@ -508,7 +548,7 @@ Bytes ClientHello::serialize_handshake() const {
   for (auto s : cipher_suites) body.u16(s);
   body.u8(static_cast<std::uint8_t>(compression_methods.size()));
   for (auto c : compression_methods) body.u8(c);
-  body.u16(static_cast<std::uint16_t>(extensions_length()));
+  body.u16(static_cast<std::uint16_t>(extensions_length(*this)));
   for (const auto& e : extensions) {
     body.u16(e.type);
     body.u16(static_cast<std::uint16_t>(e.body.size()));
@@ -533,63 +573,32 @@ Bytes ClientHello::serialize_record() const {
 }
 
 std::optional<ClientHello> ClientHello::parse_handshake(ByteView data) {
-  Reader outer(data);
-  const std::uint8_t msg_type = outer.u8();
-  const std::uint32_t msg_len = outer.u24();
-  if (!outer.ok() || msg_type != kHandshakeTypeClientHello ||
-      outer.remaining() < msg_len)
-    return std::nullopt;
-  // Confine all reads to the declared body. Callers legitimately pass
-  // trailing bytes (a reassembled CRYPTO stream prefix, an accumulated TCP
-  // stream), and those must never be parsed as ClientHello content.
-  Reader r(outer.view(msg_len));
-
-  ClientHello chlo;
-  chlo.legacy_version = r.u16();
-  const Bytes random_bytes = r.bytes(32);
-  if (!r.ok()) return std::nullopt;
-  std::copy(random_bytes.begin(), random_bytes.end(), chlo.random.begin());
-
-  const std::uint8_t sid_len = r.u8();
-  chlo.session_id = r.bytes(sid_len);
-
-  const std::uint16_t suites_len = r.u16();
-  if (!r.ok() || suites_len % 2 != 0) return std::nullopt;
-  chlo.cipher_suites.clear();
-  for (int i = 0; i < suites_len / 2; ++i)
-    chlo.cipher_suites.push_back(r.u16());
-
-  const std::uint8_t comp_len = r.u8();
-  const Bytes comp = r.bytes(comp_len);
-  if (!r.ok()) return std::nullopt;
-  chlo.compression_methods.assign(comp.begin(), comp.end());
-
-  if (r.empty()) return chlo;  // extensions are technically optional
-
-  // The extensions block is the last field of the body: its declared length
-  // must account for every remaining byte, and entries must consume it
-  // exactly (no extension may straddle the end of the message).
-  const std::uint16_t ext_total = r.u16();
-  if (!r.ok() || r.remaining() != ext_total) return std::nullopt;
-  while (!r.empty()) {
-    Extension e;
-    e.type = r.u16();
-    const std::uint16_t body_len = r.u16();
-    e.body = r.bytes(body_len);
-    if (!r.ok()) return std::nullopt;
-    chlo.extensions.push_back(std::move(e));
-  }
-  return chlo;
+  WireClientHello wire;
+  if (!wire.parse_handshake(data)) return std::nullopt;
+  return from_wire(wire);
 }
 
 std::optional<ClientHello> ClientHello::parse_record(ByteView data) {
-  Reader r(data);
-  const std::uint8_t content_type = r.u8();
-  r.u16();  // legacy record version, don't care
-  const std::uint16_t len = r.u16();
-  if (!r.ok() || content_type != kContentTypeHandshake || r.remaining() < len)
-    return std::nullopt;
-  return parse_handshake(r.view(len));
+  WireClientHello wire;
+  if (!wire.parse_record(data)) return std::nullopt;
+  return from_wire(wire);
+}
+
+ClientHello ClientHello::from_wire(const WireClientHello& wire) {
+  ClientHello c;
+  c.legacy_version = wire.legacy_version();
+  const ByteView random = wire.random();
+  std::copy(random.begin(), random.end(), c.random.begin());
+  const ByteView session_id = wire.session_id();
+  c.session_id.assign(session_id.begin(), session_id.end());
+  const BeU16Span suites = wire.cipher_suites();
+  c.cipher_suites.reserve(suites.size());
+  for (const std::uint16_t suite : suites) c.cipher_suites.push_back(suite);
+  const ByteView compression = wire.compression_methods();
+  c.compression_methods.assign(compression.begin(), compression.end());
+  for (const ExtensionView e : wire.extensions())
+    c.extensions.push_back({e.type, Bytes(e.body.begin(), e.body.end())});
+  return c;
 }
 
 std::string ja3_string(const ClientHello& chlo) {

@@ -424,12 +424,10 @@ TEST_F(BatchEquivalenceTest, ScorerBitIdenticalOn50kWireMutants) {
   for (std::size_t i = 0; i < kMutants; ++i) {
     const fuzz::SeedCase& seed = corpus[i % corpus.size()];
     const Bytes mutant = mutator.mutate_record(seed);
-    const auto chlo = tls::ClientHello::parse_record(mutant);
-    if (!chlo) continue;  // rejected upstream of the bank; nothing to check
-
     core::FlowHandshake hs;
+    if (!hs.chlo.parse_record(mutant))
+      continue;  // rejected upstream of the bank; nothing to check
     hs.transport = seed.transport;
-    hs.chlo = *chlo;
     if (const auto tp_body = hs.chlo.quic_transport_parameters())
       hs.quic_tp = quic::TransportParameters::parse(*tp_body);
     if (hs.transport == Transport::Quic && !hs.quic_tp)

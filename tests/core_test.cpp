@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/attributes.hpp"
 #include "core/encoder.hpp"
 #include "core/handshake.hpp"
 #include "core/interner.hpp"
+#include "quic/initial.hpp"
+#include "synth/dataset.hpp"
 #include "synth/flow_synthesizer.hpp"
 
 namespace vpscope::core {
@@ -270,8 +275,9 @@ TEST(HandshakeExtractor, IncrementalFeedCompletesAtChlo) {
     const auto decoded = net::decode(flow.packets[i]);
     ASSERT_TRUE(decoded.has_value());
     extractor.feed(*decoded);
-    if (i < 3)
+    if (i < 3) {
       EXPECT_FALSE(extractor.complete());  // SYN, SYN-ACK, ACK: not yet
+    }
   }
   EXPECT_TRUE(extractor.complete());
   EXPECT_EQ(extractor.sni(), flow.sni);
@@ -313,7 +319,7 @@ TEST(HandshakeExtractor, QuicMultiDatagramReassembly) {
   ASSERT_GE(initials, 2);
   const auto handshake = extract_handshake(flow.packets);
   ASSERT_TRUE(handshake.has_value());
-  EXPECT_EQ(handshake->chlo.server_name(), flow.sni);
+  EXPECT_EQ(handshake->chlo.server_name_view(), flow.sni);
 }
 
 TEST(HandshakeExtractor, RejectsNonTlsTcpPayload) {
@@ -336,6 +342,235 @@ TEST(HandshakeExtractor, RejectsNonTlsTcpPayload) {
   const net::Packet garbage{1, ip.serialize(data.serialize(Bytes(100, 0x55)))};
   extractor.feed(*net::decode(garbage));
   EXPECT_FALSE(extractor.complete());
+}
+
+TEST(HandshakeExtractor, TcpFailsPastTheClientHelloBound) {
+  net::TcpHeader syn;
+  syn.src_port = 50000;
+  syn.dst_port = 443;
+  syn.flags.syn = true;
+  net::Ipv4Header ip;
+  ip.src = net::IpAddr::v4(10, 0, 0, 1);
+  ip.dst = net::IpAddr::v4(1, 1, 1, 1);
+  HandshakeExtractor extractor;
+  extractor.feed(*net::decode(net::Packet{0, ip.serialize(syn.serialize({}))}));
+
+  net::TcpHeader data = syn;
+  data.flags.syn = false;
+  data.flags.ack = true;
+  // A record header promising more than ever arrives, then filler.
+  Bytes first = from_hex("16030140000100");
+  first.resize(1000, 0x55);
+  std::size_t sent = 0;
+  for (int i = 0; i < 17; ++i) {
+    const Bytes payload = i == 0 ? first : Bytes(1000, 0x55);
+    extractor.feed(
+        *net::decode(net::Packet{1, ip.serialize(data.serialize(payload))}));
+    sent += payload.size();
+    EXPECT_EQ(extractor.failed(), sent > kMaxClientHelloStream) << sent;
+  }
+  EXPECT_FALSE(extractor.complete());
+}
+
+// ---- QUIC CRYPTO reassembly --------------------------------------------
+
+/// The reassembly the extractor used before the bounded buffer: keep every
+/// fragment, sort by offset, append what extends the gapless prefix.
+Bytes reference_prefix(
+    const std::vector<std::pair<std::uint64_t, Bytes>>& fragments) {
+  auto sorted = fragments;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  Bytes out;
+  for (const auto& [off, data] : sorted) {
+    if (off > out.size()) break;  // gap
+    if (off + data.size() <= out.size()) continue;  // fully duplicate
+    const std::size_t skip = out.size() - static_cast<std::size_t>(off);
+    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(skip),
+               data.end());
+  }
+  return out;
+}
+
+/// A client Initial datagram as the extractor receives it; views point into
+/// `storage`.
+net::DecodedPacket as_udp(const Bytes& datagram, net::Packet& storage) {
+  net::UdpHeader udp;
+  udp.src_port = 50000;
+  udp.dst_port = 443;
+  net::Ipv4Header ip;
+  ip.protocol = net::kProtoUdp;
+  ip.src = net::IpAddr::v4(10, 0, 0, 1);
+  ip.dst = net::IpAddr::v4(1, 1, 1, 1);
+  storage = net::Packet{0, ip.serialize(udp.serialize(datagram))};
+  return *net::decode(storage);
+}
+
+/// A ClientHello big enough for a three-datagram Initial flight.
+Bytes large_hello() {
+  tls::ClientHello chlo;
+  chlo.cipher_suites = {tls::suite::kAes128GcmSha256};
+  chlo.add_server_name("rr1---sn-abc.googlevideo.com");
+  chlo.add_key_shares({tls::group::kX25519Kyber768});
+  chlo.add_padding_to(3000);
+  return chlo.serialize_handshake();
+}
+
+TEST(CryptoReassembly, RefeedingAnInitialPastOffsetZeroStaysBounded) {
+  const Bytes dcid = from_hex("8394c8f03e515708");
+  const auto flight =
+      quic::build_client_initial_flight(dcid, {}, large_hello());
+  ASSERT_EQ(flight.size(), 3u);
+  // The flight's second datagram: its CRYPTO frame starts past offset 0.
+  const auto second = quic::unprotect_client_initial(flight[1]);
+  ASSERT_TRUE(second.has_value());
+  ASSERT_GT(second->crypto_fragments.front().first, 0u);
+
+  quic::CryptoReassembler reassembler;
+  ASSERT_TRUE(reassembler.add(*second));
+  const std::size_t held = reassembler.received_bytes();
+  for (int i = 0; i < 10'000; ++i) ASSERT_TRUE(reassembler.add(*second));
+  EXPECT_EQ(reassembler.received_bytes(), held);
+  EXPECT_LE(held, flight[1].size());
+  EXPECT_TRUE(reassembler.prefix().empty());
+
+  // Through the extractor: the flow neither completes nor fails, and the
+  // first datagram arriving late still completes it.
+  HandshakeExtractor extractor;
+  net::Packet storage;
+  for (int i = 0; i < 1'000; ++i) {
+    EXPECT_TRUE(extractor.feed(as_udp(flight[1], storage)));
+    ASSERT_FALSE(extractor.complete());
+    ASSERT_FALSE(extractor.failed());
+  }
+  extractor.feed(as_udp(flight[2], storage));
+  extractor.feed(as_udp(flight[0], storage));
+  EXPECT_TRUE(extractor.complete());
+  EXPECT_EQ(extractor.sni(), "rr1---sn-abc.googlevideo.com");
+}
+
+TEST(CryptoReassembly, FirstBytesReceivedAtAnOffsetWin) {
+  const auto packet = [](std::uint64_t offset, std::string_view text) {
+    quic::InitialPacket p;
+    p.crypto_fragments = {{offset, Bytes(text.begin(), text.end())}};
+    return p;
+  };
+  const auto prefix = [](const quic::CryptoReassembler& r) {
+    const ByteView p = r.prefix();
+    return std::string(p.begin(), p.end());
+  };
+  quic::CryptoReassembler reassembler;
+  ASSERT_TRUE(reassembler.add(packet(6, "gh")));
+  EXPECT_EQ(prefix(reassembler), "");
+  ASSERT_TRUE(reassembler.add(packet(2, "cdEF")));  // touches [6, 8)
+  ASSERT_TRUE(reassembler.add(packet(0, "ab")));
+  EXPECT_EQ(prefix(reassembler), "abcdEFgh");
+  // Overlaps rewrite nothing: only the gap at [8, 10) is new.
+  ASSERT_TRUE(reassembler.add(packet(0, "ABCDEFGHij")));
+  EXPECT_EQ(prefix(reassembler), "abcdEFghij");
+  ASSERT_TRUE(reassembler.add(packet(4, "zz")));
+  EXPECT_EQ(prefix(reassembler), "abcdEFghij");
+  EXPECT_EQ(reassembler.received_bytes(), 10u);
+}
+
+TEST(CryptoReassembly, FrameReachingPastTheBoundFailsTheFlow) {
+  quic::InitialPacket packet;
+  packet.crypto_fragments = {{quic::kMaxCryptoStream - 1, Bytes{1}}};
+  quic::CryptoReassembler reassembler;
+  EXPECT_TRUE(reassembler.add(packet));  // ends exactly at the bound
+  packet.crypto_fragments = {{quic::kMaxCryptoStream, Bytes{1}}};
+  EXPECT_FALSE(reassembler.add(packet));
+  packet.crypto_fragments = {{~std::uint64_t{0}, Bytes{1}}};
+  EXPECT_FALSE(reassembler.add(packet));
+  EXPECT_EQ(reassembler.received_bytes(), 1u);
+
+  // A stream that is not a ClientHello, long enough to pass 16 KiB: the
+  // flow fails at the datagram whose frame ends past the bound.
+  const Bytes stream(kMaxClientHelloStream + 500, 0);
+  const auto flight =
+      quic::build_client_initial_flight(from_hex("0102030405060708"), {},
+                                        stream);
+  HandshakeExtractor extractor;
+  net::Packet storage;
+  std::size_t end = 0;
+  for (const Bytes& datagram : flight) {
+    const auto initial = quic::unprotect_client_initial(datagram);
+    ASSERT_TRUE(initial.has_value());
+    const auto& [offset, data] = initial->crypto_fragments.front();
+    end = offset + data.size();
+    extractor.feed(as_udp(datagram, storage));
+    ASSERT_EQ(extractor.failed(), end > kMaxClientHelloStream) << end;
+    if (extractor.failed()) break;
+  }
+  EXPECT_TRUE(extractor.failed());
+  EXPECT_FALSE(extractor.complete());
+  EXPECT_FALSE(extractor.feed(as_udp(flight.front(), storage)));
+}
+
+TEST(CryptoReassembly, LabFlightsReassembleIdenticallyInAnyOrder) {
+  // The lab corpus' QUIC flows, plus every YouTube QUIC platform padded
+  // into a multi-datagram flight.
+  std::vector<synth::LabeledFlow> flows;
+  for (auto& flow : synth::generate_lab_dataset(42, 0.2).flows)
+    if (flow.transport == Transport::Quic) flows.push_back(std::move(flow));
+  Rng rng(11);
+  synth::FlowSynthesizer synth(rng);
+  for (const auto& platform :
+       fingerprint::platforms_for(Provider::YouTube, Transport::Quic)) {
+    auto profile =
+        fingerprint::make_profile(platform, Provider::YouTube, Transport::Quic);
+    profile.tls.padding_to = 2600;
+    flows.push_back(synth.synthesize(profile));
+  }
+
+  std::size_t multi = 0;
+  for (const auto& flow : flows) {
+    std::vector<quic::InitialPacket> initials;
+    for (const auto& packet : flow.packets) {
+      const auto d = net::decode(packet);
+      if (!d || !d->udp || d->src != flow.client_ip) continue;
+      if (auto initial = quic::unprotect_client_initial(d->payload))
+        initials.push_back(std::move(*initial));
+    }
+    ASSERT_FALSE(initials.empty());
+    multi += initials.size() > 1;
+
+    std::vector<std::pair<std::uint64_t, Bytes>> fragments;
+    for (const auto& initial : initials)
+      for (const auto& f : initial.crypto_fragments) fragments.push_back(f);
+    const Bytes expected = reference_prefix(fragments);
+    const auto reassemble = [&](const std::vector<std::size_t>& order) {
+      quic::CryptoReassembler reassembler;
+      for (const std::size_t i : order)
+        EXPECT_TRUE(reassembler.add(initials[i]));
+      return reassembler.contiguous_prefix();
+    };
+    std::vector<std::size_t> in_order(initials.size());
+    std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+    const std::vector<std::size_t> reversed(in_order.rbegin(),
+                                            in_order.rend());
+    std::vector<std::size_t> duplicated;
+    for (const std::size_t i : reversed) {
+      duplicated.push_back(i);
+      duplicated.push_back(i);
+    }
+    duplicated.insert(duplicated.end(), in_order.begin(), in_order.end());
+    ASSERT_EQ(reassemble(in_order), expected);
+    ASSERT_EQ(reassemble(reversed), expected);
+    ASSERT_EQ(reassemble(duplicated), expected);
+
+    // The extractor parses the same hello from the reversed capture.
+    const auto in_order_hs = extract_handshake(flow.packets);
+    ASSERT_TRUE(in_order_hs.has_value());
+    const std::vector<net::Packet> backwards(flow.packets.rbegin(),
+                                             flow.packets.rend());
+    const auto reordered_hs = extract_handshake(backwards);
+    ASSERT_TRUE(reordered_hs.has_value());
+    ASSERT_EQ(tls::ClientHello::from_wire(reordered_hs->chlo),
+              tls::ClientHello::from_wire(in_order_hs->chlo));
+  }
+  EXPECT_GT(flows.size(), 100u);
+  EXPECT_GT(multi, 5u);
 }
 
 }  // namespace

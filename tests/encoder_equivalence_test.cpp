@@ -13,6 +13,7 @@
 // ctest labels.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -27,6 +28,7 @@
 #include "quic/transport_params.hpp"
 #include "synth/dataset.hpp"
 #include "tls/constants.hpp"
+#include "util/rng.hpp"
 
 namespace vpscope::core {
 namespace {
@@ -106,11 +108,36 @@ std::vector<std::string> u16_tokens(const std::vector<std::uint16_t>& values) {
   return out;
 }
 
-/// Verbatim port of the v1 (string-token) extract_raw_attributes.
+bool has_ext(const tls::ClientHello& chlo, std::uint16_t type) {
+  return chlo.find(type) != nullptr;
+}
+
+std::size_t ref_extensions_length(const tls::ClientHello& chlo) {
+  std::size_t total = 0;
+  for (const auto& e : chlo.extensions) total += 4 + e.body.size();
+  return total;
+}
+
+/// The Handshake.length of the serialized structural hello.
+std::size_t ref_body_length(const tls::ClientHello& chlo) {
+  return 2 + 32 + 1 + chlo.session_id.size() + 2 +
+         chlo.cipher_suites.size() * 2 + 1 + chlo.compression_methods.size() +
+         2 + ref_extensions_length(chlo);
+}
+
+std::optional<std::uint16_t> ref_record_size_limit(
+    const tls::ClientHello& chlo) {
+  const tls::Extension* e = chlo.find(tls::ext::kRecordSizeLimit);
+  if (!e || e->body.size() != 2) return std::nullopt;
+  return static_cast<std::uint16_t>(e->body[0] << 8 | e->body[1]);
+}
+
+/// Verbatim port of the v1 (string-token) extract_raw_attributes, reading
+/// the structural copy of the flow's wire ClientHello.
 std::array<RefAttr, kNumAttributes> reference_extract(const FlowHandshake& h) {
   std::array<RefAttr, kNumAttributes> out{};
   const bool is_tcp = h.transport == Transport::Tcp;
-  const tls::ClientHello& chlo = h.chlo;
+  const auto chlo = tls::ClientHello::from_wire(h.chlo);
   namespace ext = tls::ext;
 
   out[0] = ref_num(static_cast<double>(h.init_packet_size));
@@ -131,11 +158,11 @@ std::array<RefAttr, kNumAttributes> reference_extract(const FlowHandshake& h) {
     out[13] = ref_presence(h.tcp_sack_permitted);
   }
 
-  out[14] = ref_num(static_cast<double>(chlo.handshake_body_length()));
+  out[14] = ref_num(static_cast<double>(ref_body_length(chlo)));
   out[15] = ref_cat(true, std::to_string(chlo.legacy_version));
   out[16] = ref_list(u16_tokens(chlo.cipher_suites));
   out[17] = ref_num(static_cast<double>(chlo.compression_methods.size()));
-  out[18] = ref_num(static_cast<double>(chlo.extensions_length()));
+  out[18] = ref_num(static_cast<double>(ref_extensions_length(chlo)));
 
   out[19] = ref_list(u16_tokens(chlo.extension_types()));
   if (const auto sni = chlo.server_name())
@@ -152,32 +179,33 @@ std::array<RefAttr, kNumAttributes> reference_extract(const FlowHandshake& h) {
   if (const auto alpn = chlo.alpn_protocols()) out[25] = ref_list(*alpn);
   out[26] = ref_ext_length(chlo, ext::kSignedCertTimestamp);
   out[27] = ref_ext_length(chlo, ext::kPadding);
-  out[28] = ref_presence(chlo.has_extension(ext::kEncryptThenMac));
-  out[29] = ref_presence(chlo.has_extension(ext::kExtendedMasterSecret));
+  out[28] = ref_presence(has_ext(chlo, ext::kEncryptThenMac));
+  out[29] = ref_presence(has_ext(chlo, ext::kExtendedMasterSecret));
   if (const auto comp = chlo.compress_certificate())
     out[30] = ref_cat(true, join_u16(*comp));
-  if (const auto limit = chlo.record_size_limit()) out[31] = ref_num(*limit);
+  if (const auto limit = ref_record_size_limit(chlo))
+    out[31] = ref_num(*limit);
   if (const auto dc = chlo.delegated_credentials())
     out[32] = ref_list(u16_tokens(*dc));
   out[33] = ref_ext_length(chlo, ext::kSessionTicket);
-  out[34] = ref_presence(chlo.has_extension(ext::kPreSharedKey));
+  out[34] = ref_presence(has_ext(chlo, ext::kPreSharedKey));
   out[35] = ref_ext_length(chlo, ext::kEarlyData);
   if (const auto versions = chlo.supported_versions())
     out[36] = ref_list(u16_tokens(*versions));
   if (const auto modes = chlo.psk_key_exchange_modes())
     out[37] = ref_cat(true, join_u8(*modes));
-  out[38] = ref_presence(chlo.has_extension(ext::kPostHandshakeAuth));
+  out[38] = ref_presence(has_ext(chlo, ext::kPostHandshakeAuth));
   if (const auto shares = chlo.key_share_groups())
     out[39] = ref_list(u16_tokens(*shares));
   if (const auto settings = chlo.application_settings()) {
     std::vector<std::string> tokens;
-    tokens.push_back(chlo.has_extension(ext::kApplicationSettingsNew)
+    tokens.push_back(has_ext(chlo, ext::kApplicationSettingsNew)
                          ? "alps-new"
                          : "alps-old");
     tokens.insert(tokens.end(), settings->begin(), settings->end());
     out[40] = ref_list(std::move(tokens));
   }
-  out[41] = ref_presence(chlo.has_extension(ext::kRenegotiationInfo));
+  out[41] = ref_presence(has_ext(chlo, ext::kRenegotiationInfo));
 
   if (h.transport == Transport::Quic && h.quic_tp) {
     const quic::TransportParameters& tp = *h.quic_tp;
@@ -463,6 +491,80 @@ TEST(EncoderEquivalence, SignaturesMatchReferenceStrings) {
                                     interner),
                 expected)
           << "attribute " << catalog[static_cast<std::size_t>(a)].label;
+    }
+  }
+}
+
+// ---- lookup_number oracle -------------------------------------------------
+// The frozen extraction path resolves integer tokens by value; it must pick
+// exactly the id lookup() gives the value's std::to_chars rendering.
+
+std::string decimal(std::uint64_t v) {
+  char buf[20];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  EXPECT_EQ(ec, std::errc());
+  return std::string(buf, end);
+}
+
+TEST(LookupNumber, EqualsDecimalLookupOnEveryLabEncoder) {
+  Rng rng(0x10c4);
+  for (const auto& s : lab_scenarios()) {
+    FeatureEncoder encoder(s.transport);
+    encoder.fit(s.handshakes);
+    const TokenInterner& interner = encoder.interner();
+    ASSERT_TRUE(interner.frozen());
+    // Every token that is some value's rendering resolves by that value.
+    std::size_t numeric = 0;
+    for (TokenId id = 1; id <= interner.size(); ++id) {
+      const std::string_view token = interner.token(id);
+      std::uint64_t v = 0;
+      const auto [end, ec] =
+          std::from_chars(token.data(), token.data() + token.size(), v);
+      if (ec != std::errc() || end != token.data() + token.size() ||
+          decimal(v) != token)
+        continue;
+      ++numeric;
+      ASSERT_EQ(interner.lookup_number(v), id) << token;
+    }
+    EXPECT_GT(numeric, 20u);
+    for (std::uint64_t v = 0; v <= 0xffff; ++v)
+      ASSERT_EQ(interner.lookup_number(v), interner.lookup(decimal(v))) << v;
+    for (const std::uint64_t v :
+         {std::uint64_t{0}, ~std::uint64_t{0}, std::uint64_t{1} << 32,
+          std::uint64_t{1} << 63})
+      ASSERT_EQ(interner.lookup_number(v), interner.lookup(decimal(v))) << v;
+    for (int i = 0; i < 20'000; ++i) {
+      const std::uint64_t v = rng.next_u64() >> (rng.next_u32() % 64);
+      ASSERT_EQ(interner.lookup_number(v), interner.lookup(decimal(v))) << v;
+    }
+  }
+}
+
+TEST(LookupNumber, NeverReturnsANonCanonicalSpelling) {
+  for (const bool with_canonical : {false, true}) {
+    TokenInterner interner;
+    std::vector<TokenId> spellings;
+    for (const char* t :
+         {"007", "07", "00", "+7", "-7", "7 ", " 7", "0x7", "7.0", "GREASE",
+          "", "18446744073709551616", "99999999999999999999"})
+      spellings.push_back(interner.intern(t));
+    TokenId zero = TokenInterner::kUnseenId, seven = zero, max = zero;
+    if (with_canonical) {
+      zero = interner.intern("0");
+      seven = interner.intern("7");
+      max = interner.intern("18446744073709551615");
+    }
+    // Growing phase (rendered lookup), then the frozen integer table.
+    for (int phase = 0; phase < 2; ++phase) {
+      SCOPED_TRACE(phase == 0 ? "growing" : "frozen");
+      EXPECT_EQ(interner.lookup_number(0), zero);
+      EXPECT_EQ(interner.lookup_number(7), seven);
+      EXPECT_EQ(interner.lookup_number(~std::uint64_t{0}), max);
+      for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{7},
+                                    ~std::uint64_t{0}})
+        for (const TokenId spelled : spellings)
+          EXPECT_NE(interner.lookup_number(v), spelled) << v;
+      interner.freeze();
     }
   }
 }

@@ -241,7 +241,7 @@ TEST(Ipv6Flows, SynthesizeAndExtract) {
 
   const auto handshake = core::extract_handshake(flow.packets);
   ASSERT_TRUE(handshake.has_value());
-  EXPECT_EQ(handshake->chlo.server_name(), flow.sni);
+  EXPECT_EQ(handshake->chlo.server_name_view(), flow.sni);
 }
 
 TEST(Ipv6Flows, PipelineClassifiesV6TrafficWithV4TrainedBank) {

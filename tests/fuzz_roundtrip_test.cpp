@@ -37,7 +37,7 @@ TEST_F(RoundTripTest, EveryLabFlowRoundTripsOnBothPaths) {
     // unprotection + CRYPTO reassembly, TCP flows through record reassembly.
     const auto hs = core::extract_handshake(flow.packets);
     ASSERT_TRUE(hs.has_value()) << "lab flow lost its ClientHello";
-    const tls::ClientHello& chlo = hs->chlo;
+    const auto chlo = tls::ClientHello::from_wire(hs->chlo);
     (flow.transport == fingerprint::Transport::Quic ? quic : tcp)++;
 
     // Record path: serialize_record -> parse_record must reproduce the
@@ -56,7 +56,7 @@ TEST_F(RoundTripTest, EveryLabFlowRoundTripsOnBothPaths) {
     // Attribute stability: the classifier input derived from the re-parsed
     // hello must match the original bit for bit.
     core::FlowHandshake reparsed = *hs;
-    reparsed.chlo = *via_record;
+    ASSERT_TRUE(reparsed.chlo.parse_record(record));
     core::RawAttrs before, after;
     core::extract_raw_attributes(*hs, interner, before);
     core::extract_raw_attributes(reparsed, interner, after);
@@ -80,7 +80,8 @@ TEST_F(RoundTripTest, QuicHandshakesSurviveReEmbedding) {
     if (flow.transport != fingerprint::Transport::Quic) continue;
     const auto hs = core::extract_handshake(flow.packets);
     ASSERT_TRUE(hs.has_value());
-    const Bytes handshake = hs->chlo.serialize_handshake();
+    const auto chlo = tls::ClientHello::from_wire(hs->chlo);
+    const Bytes handshake = chlo.serialize_handshake();
 
     const auto flight = quic::build_client_initial_flight(dcid, scid, handshake);
     quic::CryptoReassembler reassembler;
@@ -92,7 +93,7 @@ TEST_F(RoundTripTest, QuicHandshakesSurviveReEmbedding) {
     const auto via_quic =
         tls::ClientHello::parse_handshake(reassembler.contiguous_prefix());
     ASSERT_TRUE(via_quic.has_value());
-    EXPECT_EQ(*via_quic, hs->chlo);
+    EXPECT_EQ(*via_quic, chlo);
     ++checked;
   }
   EXPECT_GT(checked, 20u);

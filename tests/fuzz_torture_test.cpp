@@ -230,8 +230,10 @@ TEST(PinnedRegression, AlpnEntryStraddlingListLengthRejected) {
   tls::ClientHello chlo;
   chlo.add_raw(tls::ext::kAlpn, from_hex("00030468327879"));
   EXPECT_FALSE(chlo.alpn_protocols().has_value());
+  tls::WireClientHello wire;
+  ASSERT_TRUE(wire.parse_handshake(chlo.serialize_handshake()));
   tls::NameView view;
-  EXPECT_FALSE(chlo.alpn_protocols_into(view));
+  EXPECT_FALSE(wire.alpn_protocols_into(view));
 }
 
 /// server_name: the host name could extend past the declared server-name
@@ -242,7 +244,9 @@ TEST(PinnedRegression, SniNameStraddlingListLengthRejected) {
   tls::ClientHello chlo;
   chlo.add_raw(tls::ext::kServerName, from_hex("00040000056162636465"));
   EXPECT_FALSE(chlo.server_name().has_value());
-  EXPECT_FALSE(chlo.server_name_view().has_value());
+  tls::WireClientHello wire;
+  ASSERT_TRUE(wire.parse_handshake(chlo.serialize_handshake()));
+  EXPECT_FALSE(wire.server_name_view().has_value());
 }
 
 /// key_share: an entry whose key length ran past the declared client-shares
@@ -256,8 +260,10 @@ TEST(PinnedRegression, KeyShareEntryStraddlingListLengthRejected) {
   tls::ClientHello chlo;
   chlo.add_raw(tls::ext::kKeyShare, std::move(w).take());
   EXPECT_FALSE(chlo.key_share_groups().has_value());
+  tls::WireClientHello wire;
+  ASSERT_TRUE(wire.parse_handshake(chlo.serialize_handshake()));
   tls::U16View view;
-  EXPECT_FALSE(chlo.key_share_groups_into(view));
+  EXPECT_FALSE(wire.key_share_groups_into(view));
 }
 
 }  // namespace

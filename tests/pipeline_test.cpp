@@ -1,9 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <limits>
+#include <new>
+
 #include "core/handshake.hpp"
 #include "pipeline/classifier_bank.hpp"
 #include "pipeline/pipeline.hpp"
 #include "synth/dataset.hpp"
+
+// Global allocation counter backing the handshake allocation pin: every
+// operator-new in the binary bumps it, so the difference across a run of
+// on_packet calls is exactly the heap allocations the pipeline made.
+static std::atomic<std::uint64_t> g_heap_allocations{0};
+
+// GCC flags free() inside a replaced operator delete as mismatched; the
+// malloc/free pairing across replaced new/delete is the standard idiom.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+#pragma GCC diagnostic pop
 
 namespace vpscope::pipeline {
 namespace {
@@ -298,6 +325,73 @@ TEST_F(PipelineTest, StatsCountersConsistent) {
                 pipe.stats().classified_partial +
                 pipe.stats().classified_unknown,
             static_cast<std::uint64_t>(flows));
+}
+
+TEST_F(PipelineTest, TcpHandshakeAllocatesOnlyTheHelloBufferAndTheSni) {
+  // YouTube TCP flows as tcp_churn replays them: SYN, SYN-ACK, ACK,
+  // ClientHello (one segment), ServerHello. The verdict lands inline on the
+  // ClientHello packet.
+  constexpr std::size_t kFlows = 64;
+  constexpr std::size_t kHandshakePackets = 5;
+  Rng rng(31);
+  synth::FlowSynthesizer synth(rng);
+  const auto platforms =
+      fingerprint::platforms_for(Provider::YouTube, Transport::Tcp);
+  // An erased flow's slab slot keeps its SNI's heap buffer, so the measured
+  // flows carry names longer than the warm-up's: each copy must allocate.
+  std::vector<synth::LabeledFlow> flows;
+  for (std::size_t i = 0; i < 2 * kFlows; ++i) {
+    auto profile = fingerprint::make_profile(platforms[i % platforms.size()],
+                                             Provider::YouTube, Transport::Tcp);
+    profile.sni_candidates = {i < kFlows
+                                  ? "rr1---sn-a.googlevideo.com"
+                                  : "rr1---sn-abcdefghijklmnop.googlevideo.com"};
+    flows.push_back(synth.synthesize(profile));
+  }
+
+  VideoFlowPipeline pipe(bank_);
+  pipe.set_sink([](telemetry::SessionRecord) {});
+  std::array<std::uint64_t, kHandshakePackets> per_packet{};
+  const auto feed = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i)
+      for (std::size_t p = 0; p < kHandshakePackets; ++p) {
+        const std::uint64_t before =
+            g_heap_allocations.load(std::memory_order_relaxed);
+        pipe.on_packet(flows[i].packets[p]);
+        per_packet[p] +=
+            g_heap_allocations.load(std::memory_order_relaxed) - before;
+      }
+  };
+  // Warm-up: the flow slab and index, the handshake slots and their free
+  // list reach the peak, and the thread_local classify scratch is sized.
+  // Then every flow is finalized and erased; capacities stay.
+  feed(0, kFlows);
+  pipe.flush_idle(std::numeric_limits<std::uint64_t>::max(), 0);
+  ASSERT_EQ(pipe.active_flows(), 0u);
+
+  per_packet = {};
+  feed(kFlows, 2 * kFlows);
+  ASSERT_EQ(pipe.stats().video_flows, 2 * kFlows);
+  // Per flow, exactly two, both on the ClientHello packet:
+  //  - the WireClientHello buffer its body is copied into (the extractor
+  //    slot is fresh for every flow);
+  //  - the FlowRecord::sni copy.
+  // Nothing else: no ClientHello extension objects, no TCP reassembly
+  // buffer for a one-segment hello, no decimal tokens, no classify scratch.
+  const std::array<std::uint64_t, kHandshakePackets> expected = {
+      0, 0, 0, 2 * kFlows, 0};
+  EXPECT_EQ(per_packet, expected);
+
+  // Classifying an already-parsed handshake allocates nothing.
+  const auto handshake = core::extract_handshake(flows.front().packets);
+  ASSERT_TRUE(handshake.has_value());
+  (void)bank_->classify(*handshake, Provider::YouTube);
+  const std::uint64_t classify_before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i)
+    (void)bank_->classify(*handshake, Provider::YouTube);
+  EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed),
+            classify_before);
 }
 
 }  // namespace

@@ -203,7 +203,9 @@ TEST(Initial, SingleDatagramRoundTrip) {
   const auto chlo_back = tls::ClientHello::parse_handshake(assembled);
   ASSERT_TRUE(chlo_back.has_value());
   EXPECT_EQ(chlo_back->server_name(), "www.youtube.com");
-  const auto tp_body = chlo_back->quic_transport_parameters();
+  tls::WireClientHello wire;
+  ASSERT_TRUE(wire.parse_handshake(assembled));
+  const auto tp_body = wire.quic_transport_parameters();
   ASSERT_TRUE(tp_body.has_value());
   const auto tp = TransportParameters::parse(*tp_body);
   ASSERT_TRUE(tp.has_value());

@@ -184,7 +184,7 @@ TEST(PipelineRobustness, ChloSplitAcrossTinySegmentsStillExtracts) {
   }
   const auto handshake = core::extract_handshake(packets);
   ASSERT_TRUE(handshake.has_value());
-  EXPECT_EQ(handshake->chlo.server_name(), flow.sni);
+  EXPECT_EQ(handshake->chlo.server_name_view(), flow.sni);
 }
 
 TEST(PipelineRobustness, PcapRoundTripOfCorruptedCaptureIsRejectedCleanly) {

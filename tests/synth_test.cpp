@@ -73,7 +73,7 @@ TEST(FlowSynthesizer, HandshakeExtractionRecoversChloForEveryCombo) {
             << fingerprint::to_string(provider) << " "
             << fingerprint::to_string(transport);
         EXPECT_EQ(handshake->transport, transport);
-        EXPECT_EQ(handshake->chlo.server_name(), flow.sni);
+        EXPECT_EQ(handshake->chlo.server_name_view(), flow.sni);
         if (transport == Transport::Quic) {
           EXPECT_TRUE(handshake->quic_tp.has_value());
           EXPECT_GE(handshake->init_packet_size, 1200u);
@@ -124,12 +124,12 @@ TEST(FlowSynthesizer, GreaseVariesAcrossFlowsButStructureStable) {
   const auto h2 = core::extract_handshake(f2.packets);
   ASSERT_TRUE(h1 && h2);
   // First suite is GREASE in both, and the remaining list is identical.
-  EXPECT_TRUE(tls::is_grease(h1->chlo.cipher_suites.front()));
-  EXPECT_TRUE(tls::is_grease(h2->chlo.cipher_suites.front()));
-  EXPECT_EQ(std::vector<std::uint16_t>(h1->chlo.cipher_suites.begin() + 1,
-                                       h1->chlo.cipher_suites.end()),
-            std::vector<std::uint16_t>(h2->chlo.cipher_suites.begin() + 1,
-                                       h2->chlo.cipher_suites.end()));
+  const auto suites1 = tls::ClientHello::from_wire(h1->chlo).cipher_suites;
+  const auto suites2 = tls::ClientHello::from_wire(h2->chlo).cipher_suites;
+  EXPECT_TRUE(tls::is_grease(suites1.front()));
+  EXPECT_TRUE(tls::is_grease(suites2.front()));
+  EXPECT_EQ(std::vector<std::uint16_t>(suites1.begin() + 1, suites1.end()),
+            std::vector<std::uint16_t>(suites2.begin() + 1, suites2.end()));
 }
 
 TEST(FlowSynthesizer, PayloadPacketsCarrySnaplenVolume) {
@@ -166,7 +166,7 @@ TEST(FlowSynthesizer, FlowsSurvivePcapRoundTrip) {
   const auto handshake = core::extract_handshake(*readback);
   ASSERT_TRUE(handshake.has_value());
   EXPECT_EQ(handshake->transport, Transport::Quic);
-  EXPECT_EQ(handshake->chlo.server_name(), flow.sni);
+  EXPECT_EQ(handshake->chlo.server_name_view(), flow.sni);
 }
 
 TEST(Dataset, Table1CountsReproduced) {

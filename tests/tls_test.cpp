@@ -41,6 +41,13 @@ ClientHello make_chrome_like() {
   return c;
 }
 
+/// The wire form of a structural hello, parsed from its serialization.
+WireClientHello wire_of(const ClientHello& c) {
+  WireClientHello w;
+  EXPECT_TRUE(w.parse_handshake(c.serialize_handshake()));
+  return w;
+}
+
 TEST(ClientHello, HandshakeRoundTripPreservesEverything) {
   const ClientHello c = make_chrome_like();
   const Bytes wire = c.serialize_handshake();
@@ -65,11 +72,11 @@ TEST(ClientHello, HandshakeBodyLengthMatchesWire) {
   const ClientHello c = make_chrome_like();
   const Bytes wire = c.serialize_handshake();
   // Handshake header is 4 bytes (type + u24 length).
-  EXPECT_EQ(c.handshake_body_length(), wire.size() - 4);
+  EXPECT_EQ(wire_of(c).handshake_body_length(), wire.size() - 4);
   const std::uint32_t wire_len = static_cast<std::uint32_t>(wire[1]) << 16 |
                                  static_cast<std::uint32_t>(wire[2]) << 8 |
                                  wire[3];
-  EXPECT_EQ(wire_len, c.handshake_body_length());
+  EXPECT_EQ(wire_len, wire_of(c).handshake_body_length());
 }
 
 TEST(ClientHello, TypedDecoders) {
@@ -103,10 +110,11 @@ TEST(ClientHello, TypedDecoders) {
   ASSERT_TRUE(settings.has_value());
   EXPECT_EQ(*settings, (std::vector<std::string>{"h2"}));
 
-  EXPECT_TRUE(parsed->has_extension(ext::kExtendedMasterSecret));
-  EXPECT_TRUE(parsed->has_extension(ext::kSignedCertTimestamp));
-  EXPECT_FALSE(parsed->has_extension(ext::kRecordSizeLimit));
-  EXPECT_FALSE(parsed->record_size_limit().has_value());
+  const WireClientHello wire = wire_of(c);
+  EXPECT_TRUE(wire.has_extension(ext::kExtendedMasterSecret));
+  EXPECT_TRUE(wire.has_extension(ext::kSignedCertTimestamp));
+  EXPECT_FALSE(wire.has_extension(ext::kRecordSizeLimit));
+  EXPECT_FALSE(wire.record_size_limit().has_value());
 }
 
 TEST(ClientHello, RecordSizeLimitAndDelegatedCredentials) {
@@ -116,7 +124,7 @@ TEST(ClientHello, RecordSizeLimitAndDelegatedCredentials) {
   c.add_delegated_credentials({sigalg::kEcdsaSecp256r1Sha256});
   const auto parsed = ClientHello::parse_handshake(c.serialize_handshake());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->record_size_limit(), 16385);
+  EXPECT_EQ(wire_of(c).record_size_limit(), 16385);
   const auto dc = parsed->delegated_credentials();
   ASSERT_TRUE(dc.has_value());
   EXPECT_EQ(dc->front(), sigalg::kEcdsaSecp256r1Sha256);
@@ -125,19 +133,19 @@ TEST(ClientHello, RecordSizeLimitAndDelegatedCredentials) {
 TEST(ClientHello, PaddingReachesTarget) {
   ClientHello c = make_chrome_like();
   c.add_padding_to(512);
-  EXPECT_EQ(c.handshake_body_length(), 512u);
+  EXPECT_EQ(wire_of(c).handshake_body_length(), 512u);
   // Round trip still works.
   const auto parsed = ClientHello::parse_handshake(c.serialize_handshake());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->has_extension(ext::kPadding));
+  EXPECT_TRUE(wire_of(*parsed).has_extension(ext::kPadding));
 }
 
 TEST(ClientHello, PaddingNoOpWhenAlreadyBigger) {
   ClientHello c = make_chrome_like();
-  const std::size_t before = c.handshake_body_length();
+  const std::size_t before = wire_of(c).handshake_body_length();
   c.add_padding_to(10);
-  EXPECT_EQ(c.handshake_body_length(), before);
-  EXPECT_FALSE(c.has_extension(ext::kPadding));
+  EXPECT_EQ(wire_of(c).handshake_body_length(), before);
+  EXPECT_FALSE(wire_of(c).has_extension(ext::kPadding));
 }
 
 TEST(ClientHello, ParseRejectsTruncation) {
@@ -160,7 +168,7 @@ TEST(ClientHello, ExtensionsLengthConsistency) {
   const ClientHello c = make_chrome_like();
   std::size_t manual = 0;
   for (const auto& e : c.extensions) manual += 4 + e.body.size();
-  EXPECT_EQ(c.extensions_length(), manual);
+  EXPECT_EQ(wire_of(c).extensions_length(), manual);
 }
 
 TEST(Grease, Identification) {
