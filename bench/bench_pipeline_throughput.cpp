@@ -779,6 +779,9 @@ BENCHMARK(BM_ShardedPipelinePerPacket)
     ->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
+// The unprotect the pipeline runs: pre-filters, key schedule, header
+// protection and the AEAD open into a stack scratch, CRYPTO frames as
+// views.
 void BM_QuicInitialUnprotect(benchmark::State& state) {
   Rng rng(1);
   synth::FlowSynthesizer synth(rng);
@@ -786,9 +789,10 @@ void BM_QuicInitialUnprotect(benchmark::State& state) {
       {Os::Windows, Agent::Chrome}, Provider::YouTube, Transport::Quic);
   const auto flow = synth.synthesize(profile);
   const auto decoded = net::decode(flow.packets[0]);
+  std::array<std::uint8_t, 1500> scratch;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        quic::unprotect_client_initial(decoded->payload));
+        quic::unprotect_client_initial(decoded->payload, scratch));
   }
 }
 BENCHMARK(BM_QuicInitialUnprotect)->Unit(benchmark::kMicrosecond);
@@ -796,15 +800,18 @@ BENCHMARK(BM_QuicInitialUnprotect)->Unit(benchmark::kMicrosecond);
 // The crypto of the same Initial, calling one kernel set directly (arg 0:
 // portable; arg 1: AES-NI, PCLMULQDQ and SHA-NI) with the work counts of
 // unprotect_client_initial: 14 SHA-256 compressions for the key schedule,
-// two AES key expansions, the GHASH subkey, header-protection and tag-mask
-// blocks plus one CTR block per 16 payload bytes, and GHASH over header,
-// ciphertext and lengths.
+// two AES key expansions, the GHASH subkey (and on x86 its powers
+// H^2..H^8), the header-protection and tag-mask blocks, CTR over the
+// payload (8 blocks in flight on x86), and GHASH over header, ciphertext
+// and lengths (8 blocks per reduction on x86).
 void BM_QuicInitialCryptoKernels(benchmark::State& state) {
   namespace kn = crypto::kernels;
+  using KeyExpansion = kn::AesRoundKeys (*)(ByteView);
   using AesKernel = void (*)(const kn::AesRoundKeys&, kn::Block&);
   using ShaKernel = void (*)(std::array<std::uint32_t, 8>&, const std::uint8_t*,
                              std::size_t);
   const bool x86 = state.range(0) == 1;
+  KeyExpansion expand = kn::aes128_expand_key;
   AesKernel aes = kn::aes128_encrypt_portable;
   ShaKernel sha = kn::sha256_compress_portable;
   if (x86) {
@@ -814,6 +821,7 @@ void BM_QuicInitialCryptoKernels(benchmark::State& state) {
       state.SkipWithError("CPU lacks AES-NI, PCLMULQDQ or SHA-NI");
       return;
     }
+    expand = kn::aes128_expand_key_aesni;
     aes = kn::aes128_encrypt_aesni;
     sha = kn::sha256_compress_shani;
 #else
@@ -840,33 +848,40 @@ void BM_QuicInitialCryptoKernels(benchmark::State& state) {
       datagram.subspan(header, datagram.size() - header - 16);
   const kn::Block lengths{};
   const std::array<std::uint8_t, 64> message{};
+  Bytes plaintext(ciphertext.size());
 
   for (auto _ : state) {
     std::array<std::uint32_t, 8> digest{};
     for (int i = 0; i < 14; ++i) sha(digest, message.data(), 1);
-    const kn::AesRoundKeys hp = kn::aes128_expand_key(keys.hp);
-    const kn::AesRoundKeys key = kn::aes128_expand_key(keys.key);
+    const kn::AesRoundKeys hp = expand(keys.hp);
+    const kn::AesRoundKeys key = expand(keys.key);
     kn::Block mask{};
     aes(hp, mask);
     kn::Block h{};
     aes(key, h);
-    kn::Block keystream{};
-    for (std::size_t pos = 0; pos < ciphertext.size() + 16; pos += 16)
-      aes(key, keystream);
+    kn::Block tag_mask{};
+    aes(key, tag_mask);
     kn::Block y{};
     if (x86) {
 #if VPSCOPE_CRYPTO_X86
+      const kn::GhashPowers powers = kn::ghash_powers_pclmul(h);
       for (const ByteView part : {aad, ciphertext, ByteView{lengths}})
-        kn::ghash_pclmul(h, y, part);
+        kn::ghash_pclmul(powers, y, part);
+      kn::aes128_ctr_xor_aesni(key, tag_mask, ciphertext.data(),
+                               plaintext.data(), ciphertext.size());
 #endif
     } else {
       const kn::GhashTable table = kn::ghash_table(h);
       for (const ByteView part : {aad, ciphertext, ByteView{lengths}})
         kn::ghash_portable(table, y, part);
+      kn::Block keystream{};
+      for (std::size_t pos = 0; pos < ciphertext.size(); pos += 16)
+        aes(key, keystream);
+      benchmark::DoNotOptimize(keystream);
     }
     benchmark::DoNotOptimize(digest);
     benchmark::DoNotOptimize(mask);
-    benchmark::DoNotOptimize(keystream);
+    benchmark::DoNotOptimize(plaintext.data());
     benchmark::DoNotOptimize(y);
   }
 }

@@ -138,10 +138,10 @@ class Fan2019 : public BaselineExtractor {
       // parsed transport parameters.
       out.push_back(0.0);
       out.push_back(0.0);
-      out.push_back(h.quic_tp && h.quic_tp->has_initial_source_connection_id
-                        ? static_cast<double>(
-                              h.quic_tp->initial_source_connection_id.size())
-                        : 0.0);
+      const auto scid_len =
+          h.quic_tp ? h.quic_tp->initial_source_connection_id_length()
+                    : std::nullopt;
+      out.push_back(static_cast<double>(scid_len.value_or(0)));
       out.push_back(0.0);
       out.push_back(0.0);
       out.push_back(0.0);

@@ -308,35 +308,39 @@ void extract_impl(const FlowHandshake& h, RawAttrs& out,
 
   // q1..q20
   if (h.transport == Transport::Quic && h.quic_tp) {
-    const quic::TransportParameters& tp = *h.quic_tp;
-    out[42].present = !tp.param_order.empty();
-    for (const std::uint64_t id : tp.param_order)
-      out[42].push_token(quic::tp::is_grease(id) ? tokens.text("GREASE")
-                                                 : tokens.number(id));
-    const auto opt_num = [](RawAttr& a, const std::optional<std::uint64_t>& v) {
-      if (v) num(a, static_cast<double>(*v));
+    const quic::WireTransportParameters& tp = *h.quic_tp;
+    const ByteView body = h.quic_tp_body();
+    using N = quic::WireTransportParameters::Numeric;
+    out[42].present = tp.param_count() > 0;
+    for (const quic::ParamView p : tp.params(body))
+      out[42].push_token(quic::tp::is_grease(p.id) ? tokens.text("GREASE")
+                                                   : tokens.number(p.id));
+    const auto opt_num = [&tp](RawAttr& a, N n) {
+      if (const auto v = tp.numeric(n)) num(a, static_cast<double>(*v));
     };
-    opt_num(out[43], tp.max_idle_timeout);
-    opt_num(out[44], tp.max_udp_payload_size);
-    opt_num(out[45], tp.initial_max_data);
-    opt_num(out[46], tp.initial_max_stream_data_bidi_local);
-    opt_num(out[47], tp.initial_max_stream_data_bidi_remote);
-    opt_num(out[48], tp.initial_max_stream_data_uni);
-    opt_num(out[49], tp.initial_max_streams_bidi);
-    opt_num(out[50], tp.initial_max_streams_uni);
-    opt_num(out[51], tp.max_ack_delay);
-    presence(out[52], tp.disable_active_migration);
-    opt_num(out[53], tp.active_connection_id_limit);
-    if (tp.has_initial_source_connection_id)
-      num(out[54], static_cast<double>(tp.initial_source_connection_id.size()));
-    opt_num(out[55], tp.max_datagram_frame_size);
-    presence(out[56], tp.grease_quic_bit);
-    presence(out[57], tp.initial_rtt_us.has_value());
-    if (tp.google_connection_options)
-      cat(out[58], tokens.text(*tp.google_connection_options));
-    if (tp.user_agent) cat(out[59], tokens.text(*tp.user_agent));
-    if (tp.google_version) cat(out[60], tokens.number(*tp.google_version));
-    opt_num(out[61], tp.ack_delay_exponent);
+    opt_num(out[43], N::MaxIdleTimeout);
+    opt_num(out[44], N::MaxUdpPayloadSize);
+    opt_num(out[45], N::InitialMaxData);
+    opt_num(out[46], N::InitialMaxStreamDataBidiLocal);
+    opt_num(out[47], N::InitialMaxStreamDataBidiRemote);
+    opt_num(out[48], N::InitialMaxStreamDataUni);
+    opt_num(out[49], N::InitialMaxStreamsBidi);
+    opt_num(out[50], N::InitialMaxStreamsUni);
+    opt_num(out[51], N::MaxAckDelay);
+    presence(out[52], tp.disable_active_migration());
+    opt_num(out[53], N::ActiveConnectionIdLimit);
+    if (const auto scid_len = tp.initial_source_connection_id_length())
+      num(out[54], static_cast<double>(*scid_len));
+    opt_num(out[55], N::MaxDatagramFrameSize);
+    presence(out[56], tp.grease_quic_bit());
+    presence(out[57], tp.numeric(N::InitialRtt).has_value());
+    if (const auto options = tp.google_connection_options(body))
+      cat(out[58], tokens.text(*options));
+    if (const auto agent = tp.user_agent(body))
+      cat(out[59], tokens.text(*agent));
+    if (const auto version = tp.google_version())
+      cat(out[60], tokens.number(*version));
+    opt_num(out[61], N::AckDelayExponent);
   }
 }
 

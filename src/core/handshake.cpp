@@ -1,10 +1,20 @@
 #include "core/handshake.hpp"
 
+#include <array>
+
 #include "quic/initial.hpp"
 
 namespace vpscope::core {
 
 using fingerprint::Transport;
+
+namespace {
+
+/// The Initial datagrams feed_quic decrypts on its stack: up to a full
+/// Ethernet payload.
+constexpr std::size_t kStackDatagram = 1500;
+
+}  // namespace
 
 bool HandshakeExtractor::feed(const net::DecodedPacket& packet) {
   if (complete_ || failed_) return false;
@@ -61,10 +71,19 @@ bool HandshakeExtractor::feed_tcp(const net::DecodedPacket& packet) {
 
 bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
   if (!quic::looks_like_initial(packet.payload)) return false;
+  // Decrypt into this frame: an Initial fits any Ethernet MTU, and only a
+  // larger datagram takes one heap buffer.
+  std::array<std::uint8_t, kStackDatagram> stack_scratch;
+  Bytes heap_scratch;
+  std::span<std::uint8_t> scratch(stack_scratch);
+  if (packet.payload.size() > scratch.size()) {
+    heap_scratch.resize(packet.payload.size());
+    scratch = heap_scratch;
+  }
   // Only the client's Initials decrypt with the DCID-derived client keys;
   // server packets fail authentication and are skipped, so no explicit
   // direction tracking is needed.
-  const auto initial = quic::unprotect_client_initial(packet.payload);
+  const auto initial = quic::unprotect_client_initial(packet.payload, scratch);
   if (!initial) return false;
 
   if (!seen_initial_) {
@@ -75,10 +94,23 @@ bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
     h.ttl = packet.ttl;
     result_ = std::move(h);
   }
-  if (!reassembler_.add(*initial)) {
-    failed_ = true;
+  for (const quic::CryptoFragment& f : initial->crypto_frames)
+    if (!quic::within_crypto_stream(f.offset, f.data.size())) {
+      failed_ = true;
+      return true;
+    }
+  // The first CRYPTO data of the flow, starting at offset 0: when it holds
+  // the whole hello, parse it in place. Bytes of later fragments could not
+  // have displaced it in the reassembler (the first value received wins).
+  const auto first = initial->crypto_frames.begin();
+  if (reassembler_.received_bytes() == 0 &&
+      first != initial->crypto_frames.end() && first->offset == 0 &&
+      result_->chlo.parse_handshake(first->data)) {
+    finish();
     return true;
   }
+  for (const quic::CryptoFragment& f : initial->crypto_frames)
+    reassembler_.add_fragment(f.offset, f.data);
   const ByteView stream = reassembler_.prefix();
   if (stream.size() < 4) return true;
   if (result_->chlo.parse_handshake(stream)) finish();
@@ -88,7 +120,7 @@ bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
 void HandshakeExtractor::finish() {
   if (result_->transport == Transport::Quic) {
     if (const auto tp_body = result_->chlo.quic_transport_parameters())
-      result_->quic_tp = quic::TransportParameters::parse(*tp_body);
+      result_->quic_tp = quic::WireTransportParameters::parse(*tp_body);
   }
   complete_ = true;
 }

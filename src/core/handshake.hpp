@@ -34,9 +34,15 @@ struct FlowHandshake {
   bool tcp_sack_permitted = false;
 
   // TLS surface (m*/o* attributes) as the ClientHello's wire bytes, plus
-  // parsed QUIC transport parameters (q* attributes) when the flow is QUIC.
+  // the QUIC transport parameters (q* attributes) when the flow is QUIC,
+  // parsed in place from chlo's quic_transport_parameters body.
   tls::WireClientHello chlo;
-  std::optional<quic::TransportParameters> quic_tp;
+  std::optional<quic::WireTransportParameters> quic_tp;
+
+  /// The body quic_tp was parsed from (empty when chlo has none).
+  ByteView quic_tp_body() const {
+    return chlo.quic_transport_parameters().value_or(ByteView{});
+  }
 };
 
 /// Client bytes (TCP payload or QUIC CRYPTO stream) a flow may send without
@@ -49,8 +55,9 @@ inline constexpr std::size_t kMaxClientHelloStream = quic::kMaxCryptoStream;
 /// a complete Initial CRYPTO stream (QUIC) has been seen. Mirrors how the
 /// real-time pipeline consumes a packet stream. The ClientHello is parsed
 /// once, straight into the handshake's WireClientHello: from the packet
-/// payload when one TCP segment carries it, else from the bytes buffered so
-/// far.
+/// payload when one TCP segment carries it, from the CRYPTO fragment when
+/// one Initial carries it (decrypted into a stack buffer), else from the
+/// bytes buffered or reassembled so far.
 class HandshakeExtractor {
  public:
   /// Returns true if the packet advanced the handshake state (i.e. was a

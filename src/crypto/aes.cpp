@@ -128,8 +128,46 @@ void aes128_encrypt_portable(const AesRoundKeys& round_keys, Block& block) {
 }
 
 #if VPSCOPE_CRYPTO_X86
+
+namespace {
+
+/// One FIPS 197 key-expansion step: `assist` is AESKEYGENASSIST of the
+/// previous round key, whose top word holds SubWord(RotWord(w3)) ^ Rcon.
+__attribute__((target("aes,sse2"))) inline __m128i expand_step(
+    __m128i key, __m128i assist) {
+  assist = _mm_shuffle_epi32(assist, _MM_SHUFFLE(3, 3, 3, 3));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+}  // namespace
+
+__attribute__((target("aes,sse2"))) AesRoundKeys aes128_expand_key_aesni(
+    ByteView key) {
+  if (key.size() != 16) throw std::invalid_argument("AES-128 key size");
+  __m128i rk[11];
+  rk[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data()));
+  // The round constant is an immediate operand, hence one line per round.
+  rk[1] = expand_step(rk[0], _mm_aeskeygenassist_si128(rk[0], 0x01));
+  rk[2] = expand_step(rk[1], _mm_aeskeygenassist_si128(rk[1], 0x02));
+  rk[3] = expand_step(rk[2], _mm_aeskeygenassist_si128(rk[2], 0x04));
+  rk[4] = expand_step(rk[3], _mm_aeskeygenassist_si128(rk[3], 0x08));
+  rk[5] = expand_step(rk[4], _mm_aeskeygenassist_si128(rk[4], 0x10));
+  rk[6] = expand_step(rk[5], _mm_aeskeygenassist_si128(rk[5], 0x20));
+  rk[7] = expand_step(rk[6], _mm_aeskeygenassist_si128(rk[6], 0x40));
+  rk[8] = expand_step(rk[7], _mm_aeskeygenassist_si128(rk[7], 0x80));
+  rk[9] = expand_step(rk[8], _mm_aeskeygenassist_si128(rk[8], 0x1b));
+  rk[10] = expand_step(rk[9], _mm_aeskeygenassist_si128(rk[9], 0x36));
+  AesRoundKeys out;
+  for (int i = 0; i < 11; ++i)
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + 16 * i), rk[i]);
+  return out;
+}
+
 // The FIPS 197 round-key bytes are already in the state layout AESENC
-// takes, so the portable key schedule feeds this kernel unchanged.
+// takes, so either key schedule feeds these kernels unchanged.
 __attribute__((target("aes,sse2"))) void aes128_encrypt_aesni(
     const AesRoundKeys& round_keys, Block& block) {
   const auto* rk = reinterpret_cast<const __m128i*>(round_keys.data());
@@ -140,13 +178,85 @@ __attribute__((target("aes,sse2"))) void aes128_encrypt_aesni(
   b = _mm_aesenclast_si128(b, _mm_loadu_si128(rk + 10));
   _mm_storeu_si128(reinterpret_cast<__m128i*>(block.data()), b);
 }
+
+__attribute__((target("aes,sse2"))) void aes128_ctr_xor_aesni(
+    const AesRoundKeys& round_keys, const Block& counter,
+    const std::uint8_t* in, std::uint8_t* out, std::size_t size) {
+  __m128i rk[11];
+  for (int i = 0; i < 11; ++i)
+    rk[i] = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(round_keys.data() + 16 * i));
+  // The counter block as four little-endian lanes: the first three hold
+  // the nonce bytes, the last the byte-swapped big-endian count.
+  std::int32_t nonce[3];
+  std::memcpy(nonce, counter.data(), sizeof(nonce));
+  std::uint32_t count = static_cast<std::uint32_t>(counter[12]) << 24 |
+                        static_cast<std::uint32_t>(counter[13]) << 16 |
+                        static_cast<std::uint32_t>(counter[14]) << 8 |
+                        counter[15];
+  const auto counter_block = [&](std::uint32_t c) {
+    return _mm_set_epi32(static_cast<std::int32_t>(__builtin_bswap32(c)),
+                         nonce[2], nonce[1], nonce[0]);
+  };
+  const auto* src = reinterpret_cast<const __m128i*>(in);
+  auto* dst = reinterpret_cast<__m128i*>(out);
+  std::size_t pos = 0;
+  for (; pos + 128 <= size; pos += 128, count += 8, src += 8, dst += 8) {
+    __m128i b[8];
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i)
+      b[i] = _mm_xor_si128(counter_block(count + static_cast<std::uint32_t>(i)),
+                           rk[0]);
+    for (int round = 1; round < 10; ++round) {
+#pragma GCC unroll 8
+      for (int i = 0; i < 8; ++i) b[i] = _mm_aesenc_si128(b[i], rk[round]);
+    }
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i)
+      _mm_storeu_si128(dst + i,
+                       _mm_xor_si128(_mm_loadu_si128(src + i),
+                                     _mm_aesenclast_si128(b[i], rk[10])));
+  }
+  for (; pos < size; pos += 16, ++count, ++src, ++dst) {
+    __m128i b = _mm_xor_si128(counter_block(count), rk[0]);
+    for (int round = 1; round < 10; ++round) b = _mm_aesenc_si128(b, rk[round]);
+    b = _mm_aesenclast_si128(b, rk[10]);
+    if (size - pos >= 16) {
+      _mm_storeu_si128(dst, _mm_xor_si128(_mm_loadu_si128(src), b));
+    } else {
+      // A partial tail goes through a stack block, never past `size`.
+      Block tail{};
+      std::memcpy(tail.data(), in + pos, size - pos);
+      _mm_storeu_si128(
+          reinterpret_cast<__m128i*>(tail.data()),
+          _mm_xor_si128(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(tail.data())),
+              b));
+      std::memcpy(out + pos, tail.data(), size - pos);
+    }
+  }
+}
+
 #endif
 
 }  // namespace kernels
 
 namespace {
 
+using KeyExpansion = kernels::AesRoundKeys (*)(ByteView);
 using AesBlockKernel = void (*)(const kernels::AesRoundKeys&, kernels::Block&);
+
+KeyExpansion key_expansion() {
+#if VPSCOPE_CRYPTO_X86
+  if (cpu_features().aes) return kernels::aes128_expand_key_aesni;
+#endif
+  return kernels::aes128_expand_key;
+}
+
+kernels::AesRoundKeys expand_key(ByteView key) {
+  static const KeyExpansion kernel = key_expansion();
+  return kernel(key);
+}
 
 AesBlockKernel aes_block_kernel() {
 #if VPSCOPE_CRYPTO_X86
@@ -159,6 +269,14 @@ void aes_encrypt(const kernels::AesRoundKeys& round_keys,
                  kernels::Block& block) {
   static const AesBlockKernel kernel = aes_block_kernel();
   kernel(round_keys, block);
+}
+
+bool use_aesni() {
+#if VPSCOPE_CRYPTO_X86
+  return cpu_features().aes;
+#else
+  return false;
+#endif
 }
 
 bool use_clmul() {
@@ -189,7 +307,7 @@ kernels::Block counter_block(ByteView nonce) {
 
 }  // namespace
 
-Aes128::Aes128(ByteView key) : round_keys_(kernels::aes128_expand_key(key)) {}
+Aes128::Aes128(ByteView key) : round_keys_(expand_key(key)) {}
 
 void Aes128::encrypt_block(std::uint8_t block[kBlockSize]) const {
   kernels::Block b;
@@ -206,13 +324,22 @@ std::array<std::uint8_t, Aes128::kBlockSize> Aes128::encrypt_block(
 }
 
 Aes128Gcm::Aes128Gcm(ByteView key)
-    : aes_(key), h_(aes_.encrypt_block(kernels::Block{})), clmul_(use_clmul()) {
-  if (!clmul_) table_ = kernels::ghash_table(h_);
+    : aes_(key),
+      h_(aes_.encrypt_block(kernels::Block{})),
+      aesni_(use_aesni()),
+      clmul_(use_clmul()) {
+#if VPSCOPE_CRYPTO_X86
+  if (clmul_) {
+    powers_ = kernels::ghash_powers_pclmul(h_);
+    return;
+  }
+#endif
+  table_ = kernels::ghash_table(h_);
 }
 
 void Aes128Gcm::ghash(kernels::Block& y, ByteView data) const {
 #if VPSCOPE_CRYPTO_X86
-  if (clmul_) return kernels::ghash_pclmul(h_, y, data);
+  if (clmul_) return kernels::ghash_pclmul(powers_, y, data);
 #endif
   kernels::ghash_portable(table_, y, data);
 }
@@ -232,45 +359,63 @@ kernels::Block Aes128Gcm::tag(const kernels::Block& j0, ByteView aad,
   return s;
 }
 
-void Aes128Gcm::ctr_xor(const kernels::Block& j0, std::uint8_t* data,
-                        std::size_t size) const {
+void Aes128Gcm::ctr_xor(const kernels::Block& j0, const std::uint8_t* in,
+                        std::uint8_t* out, std::size_t size) const {
   kernels::Block counter = j0;
+  store_be32(counter.data() + 12, 2);
+#if VPSCOPE_CRYPTO_X86
+  if (aesni_)
+    return kernels::aes128_ctr_xor_aesni(aes_.round_keys(), counter, in, out,
+                                         size);
+#endif
   std::uint32_t ctr = 2;
   for (std::size_t pos = 0; pos < size; pos += 16, ++ctr) {
     store_be32(counter.data() + 12, ctr);
     const kernels::Block keystream = aes_.encrypt_block(counter);
     const std::size_t take = std::min<std::size_t>(16, size - pos);
-    for (std::size_t i = 0; i < take; ++i) data[pos + i] ^= keystream[i];
+    for (std::size_t i = 0; i < take; ++i)
+      out[pos + i] = in[pos + i] ^ keystream[i];
   }
 }
 
 Bytes Aes128Gcm::seal(ByteView nonce, ByteView aad, ByteView plaintext) const {
   const kernels::Block j0 = counter_block(nonce);
   Bytes out(plaintext.size() + kTagSize);
-  std::copy(plaintext.begin(), plaintext.end(), out.begin());
-  ctr_xor(j0, out.data(), plaintext.size());
+  ctr_xor(j0, plaintext.data(), out.data(), plaintext.size());
   const kernels::Block t = tag(j0, aad, ByteView{out.data(), plaintext.size()});
   std::copy(t.begin(), t.end(),
             out.begin() + static_cast<std::ptrdiff_t>(plaintext.size()));
   return out;
 }
 
-std::optional<Bytes> Aes128Gcm::open(ByteView nonce, ByteView aad,
-                                     ByteView ciphertext_and_tag) const {
+bool Aes128Gcm::open_into(ByteView nonce, ByteView aad,
+                          ByteView ciphertext_and_tag,
+                          std::span<std::uint8_t> out) const {
   const kernels::Block j0 = counter_block(nonce);
-  if (ciphertext_and_tag.size() < kTagSize) return std::nullopt;
+  if (ciphertext_and_tag.size() < kTagSize) return false;
   const ByteView ciphertext =
       ciphertext_and_tag.first(ciphertext_and_tag.size() - kTagSize);
   const ByteView received = ciphertext_and_tag.last(kTagSize);
+  if (out.size() < ciphertext.size())
+    throw std::invalid_argument("GCM open_into: output smaller than input");
 
   const kernels::Block expected = tag(j0, aad, ciphertext);
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < kTagSize; ++i)
     diff |= static_cast<std::uint8_t>(received[i] ^ expected[i]);
-  if (diff != 0) return std::nullopt;
+  if (diff != 0) return false;
 
-  Bytes plaintext(ciphertext.begin(), ciphertext.end());
-  ctr_xor(j0, plaintext.data(), plaintext.size());
+  ctr_xor(j0, ciphertext.data(), out.data(), ciphertext.size());
+  return true;
+}
+
+std::optional<Bytes> Aes128Gcm::open(ByteView nonce, ByteView aad,
+                                     ByteView ciphertext_and_tag) const {
+  Bytes plaintext(ciphertext_and_tag.size() < kTagSize
+                      ? 0
+                      : ciphertext_and_tag.size() - kTagSize);
+  if (!open_into(nonce, aad, ciphertext_and_tag, plaintext))
+    return std::nullopt;
   return plaintext;
 }
 

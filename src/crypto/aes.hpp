@@ -4,8 +4,11 @@
 // (RFC 9001 §5.4.3).
 //
 // Each primitive has a portable kernel and an x86 kernel (kernels.hpp),
-// chosen once from the CPU probe: the AES block runs on AES-NI or on S-box
-// lookups, GHASH on PCLMULQDQ or on Shoup's 4-bit per-key tables. The
+// chosen once from the CPU probe: the key schedule runs on AESKEYGENASSIST
+// or on S-box lookups, the AES block and CTR mode on AES-NI (8 CTR blocks
+// in flight) or on S-box lookups, GHASH on PCLMULQDQ (8 blocks per
+// reduction, H^1..H^8 computed per key) or on Shoup's 4-bit per-key
+// tables. The
 // portable kernels index tables with key- and data-dependent values, so
 // they are not constant-time. That does not matter here: Initial keys
 // derive from the DCID every on-path observer sees (RFC 9001 §5.2), so
@@ -17,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "crypto/kernels.hpp"
 #include "util/bytes.hpp"
@@ -37,6 +41,8 @@ class Aes128 {
   std::array<std::uint8_t, kBlockSize> encrypt_block(
       const std::array<std::uint8_t, kBlockSize>& block) const;
 
+  const kernels::AesRoundKeys& round_keys() const { return round_keys_; }
+
  private:
   kernels::AesRoundKeys round_keys_;
 };
@@ -54,9 +60,17 @@ class Aes128Gcm {
   /// nonce is 12 bytes.
   Bytes seal(ByteView nonce, ByteView aad, ByteView plaintext) const;
 
-  /// Input is ciphertext || tag; returns plaintext, or nullopt if the tag
-  /// does not verify. The tag is checked before anything is decrypted.
-  /// Throws std::invalid_argument unless the nonce is 12 bytes.
+  /// Input is ciphertext || tag. Checks the tag before any decryption; on
+  /// success writes the plaintext to the first ciphertext-size bytes of
+  /// `out` and returns true. Returns false, with nothing written to `out`,
+  /// when the input is shorter than the tag or the tag does not verify.
+  /// Throws std::invalid_argument unless the nonce is 12 bytes, or when
+  /// `out` is smaller than the ciphertext.
+  bool open_into(ByteView nonce, ByteView aad, ByteView ciphertext_and_tag,
+                 std::span<std::uint8_t> out) const;
+
+  /// open_into a new buffer: the plaintext, or nullopt if the tag does not
+  /// verify.
   std::optional<Bytes> open(ByteView nonce, ByteView aad,
                             ByteView ciphertext_and_tag) const;
 
@@ -65,14 +79,17 @@ class Aes128Gcm {
   kernels::Block tag(const kernels::Block& j0, ByteView aad,
                      ByteView ciphertext) const;
   void ghash(kernels::Block& y, ByteView data) const;
-  /// XORs the CTR keystream starting at counter J0 + 1 into `data`.
-  void ctr_xor(const kernels::Block& j0, std::uint8_t* data,
-               std::size_t size) const;
+  /// out = in ^ the CTR keystream starting at counter J0 + 1; `in` and
+  /// `out` may be the same buffer.
+  void ctr_xor(const kernels::Block& j0, const std::uint8_t* in,
+               std::uint8_t* out, std::size_t size) const;
 
   Aes128 aes_;
   kernels::Block h_;  // GHASH subkey = AES_K(0^128)
+  bool aesni_ = false;
   bool clmul_ = false;
-  kernels::GhashTable table_;  // filled only when clmul_ is false
+  kernels::GhashPowers powers_;  // filled only when clmul_ is true
+  kernels::GhashTable table_;    // filled only when clmul_ is false
 };
 
 }  // namespace vpscope::crypto

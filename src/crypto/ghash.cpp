@@ -93,19 +93,32 @@ void ghash_portable(const GhashTable& table, Block& y, ByteView data) {
 
 namespace {
 
-/// a * b for byte-reversed operands (Gueron & Kounavis, Intel white paper
-/// "Carry-Less Multiplication and Its Usage for Computing the GCM Mode",
-/// Algorithm 5): a 256-bit carry-less product from four PCLMULQDQs, a
-/// one-bit left shift for GCM's reflected bit order, and a two-phase
-/// shift-and-XOR reduction modulo x^128 + x^7 + x^2 + x + 1.
-__attribute__((target("pclmul,ssse3"))) inline __m128i clmul_mul(__m128i a,
-                                                                 __m128i b) {
-  __m128i lo = _mm_clmulepi64_si128(a, b, 0x00);
-  __m128i hi = _mm_clmulepi64_si128(a, b, 0x11);
-  __m128i mid = _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
-                              _mm_clmulepi64_si128(a, b, 0x01));
-  lo = _mm_xor_si128(lo, _mm_slli_si128(mid, 8));
-  hi = _mm_xor_si128(hi, _mm_srli_si128(mid, 8));
+/// Products for byte-reversed operands (Gueron & Kounavis, Intel white
+/// paper "Carry-Less Multiplication and Its Usage for Computing the GCM
+/// Mode", Algorithm 5): each pair adds its 256-bit carry-less product from
+/// four PCLMULQDQs into (lo, mid, hi); reduce() then applies the one-bit
+/// left shift for GCM's reflected bit order and the two-phase shift-and-XOR
+/// reduction modulo x^128 + x^7 + x^2 + x + 1. Both steps are linear, so a
+/// sum of products reduces once.
+struct Product {
+  __m128i lo = _mm_setzero_si128();
+  __m128i mid = _mm_setzero_si128();
+  __m128i hi = _mm_setzero_si128();
+};
+
+__attribute__((target("pclmul,ssse3"))) inline void clmul_add(Product& p,
+                                                              __m128i a,
+                                                              __m128i b) {
+  p.lo = _mm_xor_si128(p.lo, _mm_clmulepi64_si128(a, b, 0x00));
+  p.hi = _mm_xor_si128(p.hi, _mm_clmulepi64_si128(a, b, 0x11));
+  p.mid = _mm_xor_si128(p.mid, _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
+                                             _mm_clmulepi64_si128(a, b, 0x01)));
+}
+
+__attribute__((target("pclmul,ssse3"))) inline __m128i reduce(
+    const Product& p) {
+  __m128i lo = _mm_xor_si128(p.lo, _mm_slli_si128(p.mid, 8));
+  __m128i hi = _mm_xor_si128(p.hi, _mm_srli_si128(p.mid, 8));
 
   // [hi:lo] <<= 1 across all 256 bits.
   const __m128i lo_carry = _mm_srli_epi32(lo, 31);
@@ -128,33 +141,68 @@ __attribute__((target("pclmul,ssse3"))) inline __m128i clmul_mul(__m128i a,
   return _mm_xor_si128(hi, _mm_xor_si128(lo, fold));
 }
 
+__attribute__((target("pclmul,ssse3"))) inline __m128i clmul_mul(__m128i a,
+                                                                 __m128i b) {
+  Product p;
+  clmul_add(p, a, b);
+  return reduce(p);
+}
+
+__attribute__((target("ssse3"))) inline __m128i reverse_bytes(__m128i x) {
+  return _mm_shuffle_epi8(
+      x, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+__attribute__((target("ssse3"))) inline __m128i load_reversed(
+    const std::uint8_t* p) {
+  return reverse_bytes(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
 }  // namespace
 
-__attribute__((target("pclmul,ssse3"))) void ghash_pclmul(const Block& h,
-                                                          Block& y,
-                                                          ByteView data) {
-  const __m128i reverse =
-      _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-  const __m128i hh = _mm_shuffle_epi8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(h.data())), reverse);
-  __m128i acc = _mm_shuffle_epi8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(y.data())), reverse);
-  std::size_t pos = 0;
-  for (; pos + 16 <= data.size(); pos += 16) {
-    const __m128i x = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(data.data() + pos));
-    acc = clmul_mul(_mm_xor_si128(acc, _mm_shuffle_epi8(x, reverse)), hh);
+__attribute__((target("pclmul,ssse3"))) GhashPowers ghash_powers_pclmul(
+    const Block& h) {
+  GhashPowers powers;
+  const __m128i h1 = load_reversed(h.data());
+  __m128i hk = h1;
+  for (std::size_t k = 0; k < powers.size(); ++k) {
+    if (k > 0) hk = clmul_mul(hk, h1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(powers[k].data()), hk);
   }
+  return powers;
+}
+
+__attribute__((target("pclmul,ssse3"))) void ghash_pclmul(
+    const GhashPowers& powers, Block& y, ByteView data) {
+  const auto power = [&](std::size_t k) {  // H^k
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(powers[k - 1].data()));
+  };
+  __m128i acc = load_reversed(y.data());
+  std::size_t pos = 0;
+  if (data.size() >= 128) {
+    __m128i h[8];
+    for (std::size_t k = 0; k < 8; ++k) h[k] = power(8 - k);
+    // y' = (y ^ X0) H^8 ^ X1 H^7 ^ ... ^ X7 H^1, reduced once.
+    for (; pos + 128 <= data.size(); pos += 128) {
+      Product p;
+      clmul_add(p, _mm_xor_si128(acc, load_reversed(data.data() + pos)), h[0]);
+#pragma GCC unroll 7
+      for (std::size_t k = 1; k < 8; ++k)
+        clmul_add(p, load_reversed(data.data() + pos + 16 * k), h[k]);
+      acc = reduce(p);
+    }
+  }
+  const __m128i h1 = power(1);
+  for (; pos + 16 <= data.size(); pos += 16)
+    acc = clmul_mul(_mm_xor_si128(acc, load_reversed(data.data() + pos)), h1);
   if (pos < data.size()) {
     // A partial tail is copied, never loaded past the end of `data`.
     Block tail{};
     std::memcpy(tail.data(), data.data() + pos, data.size() - pos);
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tail.data()));
-    acc = clmul_mul(_mm_xor_si128(acc, _mm_shuffle_epi8(x, reverse)), hh);
+    acc = clmul_mul(_mm_xor_si128(acc, load_reversed(tail.data())), h1);
   }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(y.data()),
-                   _mm_shuffle_epi8(acc, reverse));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(y.data()), reverse_bytes(acc));
 }
 
 #endif  // VPSCOPE_CRYPTO_X86

@@ -163,12 +163,36 @@ void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
   kernel(state, data, blocks);
 }
 
+/// Finishes `block` as the last block of a hash: `used` message bytes, then
+/// 0x80, zeros and the 64-bit big-endian bit length of `total_len` bytes.
+/// Requires used <= HmacSha256::kOneBlockMessage.
+void pad_last_block(std::array<std::uint8_t, Sha256::kBlockSize>& block,
+                    std::size_t used, std::uint64_t total_len) {
+  constexpr std::size_t kLengthAt = Sha256::kBlockSize - 8;
+  block[used] = 0x80;
+  std::memset(block.data() + used + 1, 0, kLengthAt - used - 1);
+  const std::uint64_t bit_len = total_len * 8;
+  for (std::size_t i = 0; i < 8; ++i)
+    block[kLengthAt + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+}
+
+/// FIPS 180-4 §5.3.3: H(0).
+constexpr Sha256::State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                         0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                         0x1f83d9ab, 0x5be0cd19};
+
+void store_state(const Sha256::State& state, std::uint8_t* out) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[i * 4] = static_cast<std::uint8_t>(state[i] >> 24);
+    out[i * 4 + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out[i * 4 + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out[i * 4 + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+}
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      buffer_{} {}
+Sha256::Sha256() : state_(kInitialState), buffer_{} {}
 
 void Sha256::update(ByteView data) {
   if (data.empty()) return;
@@ -212,12 +236,7 @@ Sha256::Digest Sha256::finish() {
   compress(state_, buffer_.data(), 1);
 
   Digest out;
-  for (std::size_t i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  store_state(state_, out.data());
   return out;
 }
 
@@ -236,18 +255,43 @@ HmacSha256::HmacSha256(ByteView key) {
     std::copy(key.begin(), key.end(), pad.begin());
   }
   for (auto& b : pad) b ^= 0x36;
-  inner_.update(pad);
+  inner_ = kInitialState;
+  compress(inner_, pad.data(), 1);
   for (auto& b : pad) b ^= 0x36 ^ 0x5c;
-  outer_.update(pad);
+  outer_ = kInitialState;
+  compress(outer_, pad.data(), 1);
 }
 
 Sha256::Digest HmacSha256::mac(std::initializer_list<ByteView> parts) const {
-  Sha256 inner = inner_;
-  for (const ByteView part : parts) inner.update(part);
-  const Sha256::Digest inner_digest = inner.finish();
-  Sha256 outer = outer_;
-  outer.update(inner_digest);
-  return outer.finish();
+  std::size_t total = 0;
+  for (const ByteView part : parts) total += part.size();
+  std::array<std::uint8_t, Sha256::kBlockSize> block;
+  if (total <= kOneBlockMessage) {
+    // The key block precedes the message, so the inner hash is 64 + total
+    // bytes long.
+    std::size_t used = 0;
+    for (const ByteView part : parts) {
+      if (part.empty()) continue;
+      std::memcpy(block.data() + used, part.data(), part.size());
+      used += part.size();
+    }
+    pad_last_block(block, used, Sha256::kBlockSize + total);
+    Sha256::State inner = inner_;
+    compress(inner, block.data(), 1);
+    store_state(inner, block.data());
+  } else {
+    Sha256 inner(inner_, Sha256::kBlockSize);
+    for (const ByteView part : parts) inner.update(part);
+    const Sha256::Digest digest = inner.finish();
+    std::copy(digest.begin(), digest.end(), block.begin());
+  }
+  pad_last_block(block, Sha256::kDigestSize,
+                 Sha256::kBlockSize + Sha256::kDigestSize);
+  Sha256::State outer = outer_;
+  compress(outer, block.data(), 1);
+  Sha256::Digest out;
+  store_state(outer, out.data());
+  return out;
 }
 
 Sha256::Digest hmac_sha256(ByteView key, ByteView data) {

@@ -17,6 +17,8 @@ class Sha256 {
   static constexpr std::size_t kDigestSize = 32;
   static constexpr std::size_t kBlockSize = 64;
   using Digest = std::array<std::uint8_t, kDigestSize>;
+  /// The eight working words between compressions.
+  using State = std::array<std::uint32_t, 8>;
 
   Sha256();
 
@@ -26,26 +28,37 @@ class Sha256 {
   static Digest digest(ByteView data);
 
  private:
-  std::array<std::uint32_t, 8> state_;
+  friend class HmacSha256;
+  /// Resumes a hash whose first `total_len` bytes (whole blocks) left
+  /// `state`.
+  Sha256(const State& state, std::uint64_t total_len)
+      : state_(state), buffer_{}, total_len_(total_len) {}
+
+  State state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;  // always < kBlockSize between calls
   std::uint64_t total_len_ = 0;
 };
 
-/// HMAC-SHA256 (RFC 2104) under one key, held as the SHA-256 states after
-/// the inner (key ^ ipad) and outer (key ^ opad) blocks. Keying costs those
-/// two compressions once; each MAC then costs only the message's inner
-/// compressions plus one outer compression. Copyable, no heap.
+/// HMAC-SHA256 (RFC 2104) under one key, held as the two SHA-256 states
+/// after the inner (key ^ ipad) and outer (key ^ opad) blocks. Keying costs
+/// those two compressions once. A MAC whose message fits one padded block
+/// (at most kOneBlockMessage bytes, as every MAC of the QUIC Initial key
+/// schedule does) then costs exactly one inner and one outer compression;
+/// a longer one streams its inner blocks. Copyable, no heap.
 class HmacSha256 {
  public:
+  /// The longest message whose SHA-256 padding fits the same block.
+  static constexpr std::size_t kOneBlockMessage = Sha256::kBlockSize - 9;
+
   explicit HmacSha256(ByteView key);
 
   /// MAC of the concatenation of `parts`.
   Sha256::Digest mac(std::initializer_list<ByteView> parts) const;
 
  private:
-  Sha256 inner_;
-  Sha256 outer_;
+  Sha256::State inner_;
+  Sha256::State outer_;
 };
 
 /// One-shot HMAC-SHA256: HmacSha256(key).mac({data}).

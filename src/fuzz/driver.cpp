@@ -127,7 +127,7 @@ TortureReport torture_classifier(const std::vector<SeedCase>& corpus,
 
       hs.transport = seed.transport;
       if (const auto tp_body = hs.chlo.quic_transport_parameters())
-        hs.quic_tp = quic::TransportParameters::parse(*tp_body);
+        hs.quic_tp = quic::WireTransportParameters::parse(*tp_body);
       if (hs.transport == fingerprint::Transport::Quic && !hs.quic_tp)
         hs.transport = fingerprint::Transport::Tcp;
 

@@ -29,9 +29,9 @@ std::string describe(const char* what, ByteView mutant) {
 core::FlowHandshake to_flow_handshake(const tls::WireClientHello& chlo) {
   core::FlowHandshake hs;
   if (const auto tp_body = chlo.quic_transport_parameters()) {
-    if (auto tp = quic::TransportParameters::parse(*tp_body)) {
+    if (const auto tp = quic::WireTransportParameters::parse(*tp_body)) {
       hs.transport = fingerprint::Transport::Quic;
-      hs.quic_tp = std::move(tp);
+      hs.quic_tp = tp;
     }
   }
   hs.chlo = chlo;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <stdexcept>
 
 #include "crypto/aes.hpp"
 #include "crypto/hkdf.hpp"
@@ -38,6 +40,47 @@ std::array<std::uint8_t, 12> make_nonce(const std::array<std::uint8_t, 12>& iv,
 void put_varint_2byte(Writer& w, std::uint64_t v) {
   // Forced 2-byte encoding (RFC 9000 allows non-minimal varints for Length).
   w.u16(static_cast<std::uint16_t>(v | 0x4000));
+}
+
+/// The length of the run of zero bytes `bytes` starts with. Each PADDING
+/// frame is one zero byte and Initials carry hundreds in a row, so the run
+/// is compared 16 bytes per step.
+std::size_t zero_run(ByteView bytes) {
+  std::size_t at = 0;
+  for (; at + 16 <= bytes.size(); at += 16) {
+    std::uint64_t words[2];
+    std::memcpy(words, bytes.data() + at, sizeof(words));
+    if ((words[0] | words[1]) != 0) break;
+  }
+  while (at < bytes.size() && bytes[at] == 0) ++at;
+  return at;
+}
+
+enum class FrameStep { Crypto, End, Malformed };
+
+/// Reads the frames of an Initial payload from `r` (over `frames`) up to
+/// and including the next CRYPTO frame, into `out`; PADDING and PING are
+/// skipped.
+FrameStep next_crypto_frame(Reader& r, ByteView frames, CryptoFragment& out) {
+  while (!r.empty()) {
+    const std::uint8_t type = r.u8();
+    if (type == kFramePadding) {
+      r.skip(zero_run(frames.subspan(r.offset())));
+      continue;
+    }
+    if (type == kFramePing) continue;
+    // Only PADDING, PING and CRYPTO appear in the Initials we observe; any
+    // other frame is treated as malformed rather than guessing its length
+    // encoding.
+    if (type != kFrameCrypto) return FrameStep::Malformed;
+    const std::uint64_t offset = get_varint(r);
+    const std::uint64_t length = get_varint(r);
+    const ByteView data = r.view(static_cast<std::size_t>(length));
+    if (!r.ok()) return FrameStep::Malformed;
+    out = {offset, data};
+    return FrameStep::Crypto;
+  }
+  return FrameStep::End;
 }
 
 }  // namespace
@@ -134,88 +177,97 @@ bool looks_like_initial(ByteView datagram) {
   return version == kQuicVersion1;
 }
 
-std::optional<InitialPacket> unprotect_client_initial(ByteView datagram) {
-  if (!looks_like_initial(datagram)) return std::nullopt;
+CryptoFrames::iterator& CryptoFrames::iterator::operator++() {
+  const ByteView rest = frames_.subspan(next_);
+  Reader r(rest);
+  done_ = next_crypto_frame(r, rest, current_) != FrameStep::Crypto;
+  next_ = done_ ? 0 : next_ + r.offset();
+  return *this;
+}
 
+std::optional<InitialView> unprotect_client_initial(
+    ByteView datagram, std::span<std::uint8_t> scratch) {
+  // Pre-filters (RFC 9000), all before the key schedule.
+  if (!looks_like_initial(datagram)) return std::nullopt;
+  if (datagram.size() < kMinInitialDatagram) return std::nullopt;  // §14.1
+
+  InitialView out;
   Reader r(datagram);
   const std::uint8_t first_protected = r.u8();
-  const std::uint32_t version = r.u32();
+  out.version = r.u32();
   const std::uint8_t dcid_len = r.u8();
-  const ByteView dcid = r.view(dcid_len);
+  if (dcid_len < kMinClientDcid || dcid_len > kMaxConnectionId)
+    return std::nullopt;  // §7.2, §17.2
+  out.dcid = r.view(dcid_len);
   const std::uint8_t scid_len = r.u8();
-  const ByteView scid = r.view(scid_len);
+  out.scid = r.view(scid_len);
   const std::uint64_t token_len = get_varint(r);
-  const ByteView token = r.view(static_cast<std::size_t>(token_len));
+  out.token = r.view(static_cast<std::size_t>(token_len));
   const std::uint64_t length = get_varint(r);
   if (!r.ok()) return std::nullopt;
   const std::size_t pn_offset = r.offset();
+  // The Length field must fit the datagram and cover at least 4 + 16
+  // bytes, so the header-protection sample (16 bytes from 4 past the
+  // packet number) lies inside the datagram too.
   if (r.remaining() < length || length < kPnLen + 16) return std::nullopt;
 
-  const InitialKeys keys = derive_client_initial_keys(dcid);
-  const crypto::Aes128 hp_cipher(keys.hp);
-
-  if (datagram.size() < pn_offset + 4 + 16) return std::nullopt;
-  std::array<std::uint8_t, 16> sample{};
+  const InitialKeys keys = derive_client_initial_keys(out.dcid);
+  std::array<std::uint8_t, 16> sample;
   std::copy_n(datagram.begin() + static_cast<std::ptrdiff_t>(pn_offset + 4),
               16, sample.begin());
-  const auto mask = hp_cipher.encrypt_block(sample);
+  const auto mask = crypto::Aes128(keys.hp).encrypt_block(sample);
 
   const std::uint8_t first = first_protected ^ (mask[0] & 0x0f);
   const std::size_t pn_len = static_cast<std::size_t>(first & 0x03) + 1;
-  std::uint64_t pn = 0;
-  Bytes header(datagram.begin(),
-               datagram.begin() + static_cast<std::ptrdiff_t>(pn_offset + pn_len));
-  header[0] = first;
+  const std::size_t header_len = pn_offset + pn_len;
+  const ByteView ciphertext = datagram.subspan(
+      header_len, static_cast<std::size_t>(length) - pn_len);
+  const std::size_t plaintext_len = ciphertext.size() - 16;
+  if (scratch.size() < header_len + plaintext_len)
+    throw std::invalid_argument("unprotect_client_initial: scratch too small");
+
+  // The AAD is the header with the first byte and packet number unmasked.
+  std::copy_n(datagram.begin(), header_len, scratch.begin());
+  scratch[0] = first;
   for (std::size_t i = 0; i < pn_len; ++i) {
-    const std::uint8_t b = datagram[pn_offset + i] ^ mask[i + 1];
-    header[pn_offset + i] = b;
-    pn = pn << 8 | b;
+    scratch[pn_offset + i] ^= mask[i + 1];
+    out.packet_number = out.packet_number << 8 | scratch[pn_offset + i];
   }
   // No packet-number recovery against a larger expected window is needed:
   // Initials arrive with tiny PNs and we always observe from packet 0.
 
-  const crypto::Aes128Gcm aead(keys.key);
-  const ByteView ciphertext =
-      datagram.subspan(pn_offset + pn_len,
-                       static_cast<std::size_t>(length) - pn_len);
-  const auto plain = aead.open(make_nonce(keys.iv, pn), header, ciphertext);
-  if (!plain) return std::nullopt;
+  const std::span<std::uint8_t> plaintext =
+      scratch.subspan(header_len, plaintext_len);
+  if (!crypto::Aes128Gcm(keys.key).open_into(
+          make_nonce(keys.iv, out.packet_number), scratch.first(header_len),
+          ciphertext, plaintext))
+    return std::nullopt;
 
-  InitialPacket out;
-  out.version = version;
-  out.dcid.assign(dcid.begin(), dcid.end());
-  out.scid.assign(scid.begin(), scid.end());
-  out.token.assign(token.begin(), token.end());
-  out.packet_number = pn;
-
-  Reader fr(*plain);
-  while (!fr.empty()) {
-    const std::uint8_t type = fr.u8();
-    if (!fr.ok()) break;
-    if (type == kFramePadding) {
-      // Each PADDING frame is a single zero byte and Initials carry
-      // hundreds of them in a row: skip the whole run at once.
-      const ByteView rest = ByteView{*plain}.subspan(fr.offset());
-      fr.skip(static_cast<std::size_t>(
-          std::find_if(rest.begin(), rest.end(),
-                       [](std::uint8_t b) { return b != kFramePadding; }) -
-          rest.begin()));
-      continue;
-    }
-    if (type == kFramePing) continue;
-    if (type == kFrameCrypto) {
-      const std::uint64_t off = get_varint(fr);
-      const std::uint64_t len = get_varint(fr);
-      if (!fr.ok()) return std::nullopt;
-      Bytes data = fr.bytes(static_cast<std::size_t>(len));
-      if (!fr.ok()) return std::nullopt;
-      out.crypto_fragments.emplace_back(off, std::move(data));
-    } else {
-      // Unknown frame in an Initial we synthesized ourselves: treat as
-      // malformed rather than guessing its length encoding.
-      return std::nullopt;
-    }
+  Reader frames(plaintext);
+  CryptoFragment fragment;
+  FrameStep step;
+  while ((step = next_crypto_frame(frames, plaintext, fragment)) ==
+         FrameStep::Crypto) {
   }
+  if (step == FrameStep::Malformed) return std::nullopt;
+  out.crypto_frames = CryptoFrames(plaintext);
+  return out;
+}
+
+std::optional<InitialPacket> unprotect_client_initial(ByteView datagram) {
+  if (!looks_like_initial(datagram)) return std::nullopt;
+  Bytes scratch(datagram.size());
+  const auto view = unprotect_client_initial(datagram, scratch);
+  if (!view) return std::nullopt;
+  InitialPacket out;
+  out.version = view->version;
+  out.dcid.assign(view->dcid.begin(), view->dcid.end());
+  out.scid.assign(view->scid.begin(), view->scid.end());
+  out.token.assign(view->token.begin(), view->token.end());
+  out.packet_number = view->packet_number;
+  for (const CryptoFragment& f : view->crypto_frames)
+    out.crypto_fragments.emplace_back(f.offset,
+                                      Bytes(f.data.begin(), f.data.end()));
   return out;
 }
 
@@ -226,8 +278,7 @@ bool CryptoReassembler::add(const InitialPacket& packet) {
 }
 
 bool CryptoReassembler::add_fragment(std::uint64_t offset, ByteView data) {
-  if (offset > kMaxCryptoStream || data.size() > kMaxCryptoStream - offset)
-    return false;
+  if (!within_crypto_stream(offset, data.size())) return false;
   if (data.empty()) return true;
   const auto begin = static_cast<std::size_t>(offset);
   const std::size_t end = begin + data.size();

@@ -8,8 +8,13 @@
 //
 //   synthesize:  ClientHello bytes -> CRYPTO frames -> AEAD-sealed,
 //                header-protected Initial packet(s), padded to >= 1200 B
-//   observe:     UDP datagram -> header unprotection -> AEAD open ->
-//                CRYPTO reassembly -> ClientHello bytes
+//   observe:     UDP datagram -> RFC 9000 pre-filters -> header
+//                unprotection -> AEAD open -> CRYPTO frames ->
+//                reassembly -> ClientHello bytes
+//
+// The observe direction runs in caller memory: the header copy and the
+// plaintext go into a caller scratch buffer, and the connection ids, token
+// and CRYPTO fragments are views. The owning InitialPacket form wraps it.
 //
 // Large ClientHellos (e.g. post-quantum key shares) are split across
 // multiple Initial datagrams, as real clients do.
@@ -18,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -29,6 +35,16 @@ inline constexpr std::size_t kMinInitialDatagram = 1200;
 /// The CRYPTO stream bytes a CryptoReassembler holds at most: a ClientHello
 /// comfortably fits, and a frame reaching past it is refused.
 inline constexpr std::size_t kMaxCryptoStream = 16384;
+/// Client-chosen DCID bounds on first contact: at least 8 bytes (RFC 9000
+/// §7.2), at most 20 in QUIC v1 (§17.2).
+inline constexpr std::size_t kMinClientDcid = 8;
+inline constexpr std::size_t kMaxConnectionId = 20;
+
+/// True when CRYPTO stream bytes [offset, offset + size) end within
+/// kMaxCryptoStream.
+inline bool within_crypto_stream(std::uint64_t offset, std::size_t size) {
+  return offset <= kMaxCryptoStream && size <= kMaxCryptoStream - offset;
+}
 
 /// Cleartext view of one Initial packet (after header/payload unprotection).
 struct InitialPacket {
@@ -63,8 +79,73 @@ std::vector<Bytes> build_client_initial_flight(
     std::uint64_t first_packet_number = 0,
     std::size_t datagram_size = kMinInitialDatagram);
 
-/// Removes protection from one client Initial datagram. Returns nullopt if
-/// the datagram is not a v1 Initial or authentication fails.
+/// One CRYPTO frame of an unprotected Initial: its stream offset and bytes.
+struct CryptoFragment {
+  std::uint64_t offset = 0;
+  ByteView data;
+};
+
+/// The CRYPTO frames of an Initial payload the unprotect already walked and
+/// validated, in packet order, PADDING and PING skipped; the walk here
+/// checks nothing. Views into the caller's scratch buffer.
+class CryptoFrames {
+ public:
+  class iterator {
+   public:
+    iterator() = default;  // the end
+    explicit iterator(ByteView frames) : frames_(frames) { ++*this; }
+    const CryptoFragment& operator*() const { return current_; }
+    const CryptoFragment* operator->() const { return &current_; }
+    iterator& operator++();
+    bool operator==(const iterator& o) const {
+      return done_ == o.done_ && next_ == o.next_;
+    }
+
+   private:
+    ByteView frames_;
+    std::size_t next_ = 0;  // read position past current_
+    bool done_ = true;
+    CryptoFragment current_;
+  };
+
+  CryptoFrames() = default;
+  explicit CryptoFrames(ByteView frames) : frames_(frames) {}
+  iterator begin() const { return iterator(frames_); }
+  iterator end() const { return {}; }
+
+ private:
+  ByteView frames_;
+};
+
+/// A client Initial with protection removed, every field a view: the
+/// connection ids and token into the datagram, the CRYPTO frames into the
+/// caller's scratch.
+struct InitialView {
+  std::uint32_t version = kQuicVersion1;
+  ByteView dcid;
+  ByteView scid;
+  ByteView token;
+  std::uint64_t packet_number = 0;
+  CryptoFrames crypto_frames;
+};
+
+/// Removes protection from one client Initial datagram into `scratch`,
+/// which holds the header copy the AEAD authenticates and the plaintext.
+/// A scratch of datagram.size() bytes always suffices; throws
+/// std::invalid_argument when it is too small for this datagram. Returns
+/// nullopt, before any crypto, when the datagram is not a v1 Initial or a
+/// pre-filter refuses it:
+///   - a UDP payload under kMinInitialDatagram (RFC 9000 §14.1: a server
+///     discards it; a snap-truncated Initial cannot authenticate anyway);
+///   - a DCID outside [kMinClientDcid, kMaxConnectionId];
+///   - a Length field that overruns the datagram or is too short to hold
+///     the packet number and tag, which also keeps the header-protection
+///     sample inside the datagram;
+/// and after the crypto when authentication fails or a frame is malformed.
+std::optional<InitialView> unprotect_client_initial(
+    ByteView datagram, std::span<std::uint8_t> scratch);
+
+/// The owning form: the same unprotect, with the views copied out.
 std::optional<InitialPacket> unprotect_client_initial(ByteView datagram);
 
 /// Reassembles the client's CRYPTO stream from the Initials of one flow, in
@@ -76,6 +157,9 @@ class CryptoReassembler {
   /// Adds the packet's CRYPTO fragments. Returns false, refusing the rest
   /// of the packet, when a fragment would end past kMaxCryptoStream.
   bool add(const InitialPacket& packet);
+  /// Adds one fragment; false, holding nothing of it, when it would end
+  /// past kMaxCryptoStream.
+  bool add_fragment(std::uint64_t offset, ByteView data);
   /// The gapless prefix of the stream from offset 0, in place (valid until
   /// the next add).
   ByteView prefix() const;
@@ -85,8 +169,6 @@ class CryptoReassembler {
   std::size_t received_bytes() const;
 
  private:
-  bool add_fragment(std::uint64_t offset, ByteView data);
-
   Bytes buffer_;  // stream bytes at their offsets; unreceived bytes are 0
   /// Received [begin, end) ranges, sorted, disjoint and never adjacent.
   std::vector<std::pair<std::size_t, std::size_t>> ranges_;

@@ -1,6 +1,7 @@
 #include "quic/transport_params.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "quic/varint.hpp"
 
@@ -153,92 +154,145 @@ Bytes TransportParameters::serialize() const {
   return std::move(w).take();
 }
 
-std::optional<TransportParameters> TransportParameters::parse(ByteView body) {
-  TransportParameters out;
+namespace {
+
+/// The Numeric slot of a varint-valued parameter id, or kCount.
+WireTransportParameters::Numeric numeric_slot(std::uint64_t id) {
+  using N = WireTransportParameters::Numeric;
+  switch (id) {
+    case tp::kMaxIdleTimeout: return N::MaxIdleTimeout;
+    case tp::kMaxUdpPayloadSize: return N::MaxUdpPayloadSize;
+    case tp::kInitialMaxData: return N::InitialMaxData;
+    case tp::kInitialMaxStreamDataBidiLocal:
+      return N::InitialMaxStreamDataBidiLocal;
+    case tp::kInitialMaxStreamDataBidiRemote:
+      return N::InitialMaxStreamDataBidiRemote;
+    case tp::kInitialMaxStreamDataUni: return N::InitialMaxStreamDataUni;
+    case tp::kInitialMaxStreamsBidi: return N::InitialMaxStreamsBidi;
+    case tp::kInitialMaxStreamsUni: return N::InitialMaxStreamsUni;
+    case tp::kAckDelayExponent: return N::AckDelayExponent;
+    case tp::kMaxAckDelay: return N::MaxAckDelay;
+    case tp::kActiveConnectionIdLimit: return N::ActiveConnectionIdLimit;
+    case tp::kMaxDatagramFrameSize: return N::MaxDatagramFrameSize;
+    case tp::kInitialRtt: return N::InitialRtt;
+    default: return N::kCount;
+  }
+}
+
+/// Reads one parameter entry; the Reader fails when it overruns.
+ParamView read_param(Reader& r) {
+  ParamView p;
+  p.id = get_varint(r);
+  const std::uint64_t len = get_varint(r);
+  p.value = r.view(static_cast<std::size_t>(len));
+  return p;
+}
+
+}  // namespace
+
+ParamView ParamSpan::iterator::operator*() const {
+  Reader r(body_.subspan(at_));
+  return read_param(r);
+}
+
+ParamSpan::iterator& ParamSpan::iterator::operator++() {
+  Reader r(body_.subspan(at_));
+  read_param(r);
+  at_ += r.offset();
+  return *this;
+}
+
+std::optional<WireTransportParameters> WireTransportParameters::parse(
+    ByteView body) {
+  if (body.size() > UINT32_MAX) return std::nullopt;
+  WireTransportParameters out;
+  out.body_len_ = static_cast<std::uint32_t>(body.size());
   Reader r(body);
   while (!r.empty()) {
-    const std::uint64_t id = get_varint(r);
-    const std::uint64_t len = get_varint(r);
+    const ParamView p = read_param(r);
     if (!r.ok()) return std::nullopt;
-    const ByteView value = r.view(static_cast<std::size_t>(len));
-    if (!r.ok()) return std::nullopt;
-    out.param_order.push_back(id);
-
-    Reader vr(value);
-    auto read_varint_value = [&]() -> std::optional<std::uint64_t> {
-      const std::uint64_t v = get_varint(vr);
-      return vr.ok() ? std::optional(v) : std::nullopt;
+    ++out.count_;
+    const auto slice = [&] {
+      return Slice{static_cast<std::uint32_t>(p.value.data() - body.data()),
+                   static_cast<std::uint32_t>(p.value.size())};
     };
-
-    switch (id) {
-      case tp::kMaxIdleTimeout:
-        out.max_idle_timeout = read_varint_value();
-        break;
-      case tp::kMaxUdpPayloadSize:
-        out.max_udp_payload_size = read_varint_value();
-        break;
-      case tp::kInitialMaxData:
-        out.initial_max_data = read_varint_value();
-        break;
-      case tp::kInitialMaxStreamDataBidiLocal:
-        out.initial_max_stream_data_bidi_local = read_varint_value();
-        break;
-      case tp::kInitialMaxStreamDataBidiRemote:
-        out.initial_max_stream_data_bidi_remote = read_varint_value();
-        break;
-      case tp::kInitialMaxStreamDataUni:
-        out.initial_max_stream_data_uni = read_varint_value();
-        break;
-      case tp::kInitialMaxStreamsBidi:
-        out.initial_max_streams_bidi = read_varint_value();
-        break;
-      case tp::kInitialMaxStreamsUni:
-        out.initial_max_streams_uni = read_varint_value();
-        break;
-      case tp::kAckDelayExponent:
-        out.ack_delay_exponent = read_varint_value();
-        break;
-      case tp::kMaxAckDelay:
-        out.max_ack_delay = read_varint_value();
-        break;
+    if (const Numeric n = numeric_slot(p.id); n != Numeric::kCount) {
+      Reader vr(p.value);
+      const std::uint64_t v = get_varint(vr);
+      const auto i = static_cast<std::size_t>(n);
+      out.set(i, vr.ok());
+      out.numeric_[i] = vr.ok() ? v : 0;
+      continue;
+    }
+    switch (p.id) {
       case tp::kDisableActiveMigration:
-        out.disable_active_migration = true;
-        break;
-      case tp::kActiveConnectionIdLimit:
-        out.active_connection_id_limit = read_varint_value();
-        break;
-      case tp::kInitialSourceConnectionId:
-        out.initial_source_connection_id.assign(value.begin(), value.end());
-        out.has_initial_source_connection_id = true;
-        break;
-      case tp::kMaxDatagramFrameSize:
-        out.max_datagram_frame_size = read_varint_value();
+        out.set(kDisableMigration, true);
         break;
       case tp::kGreaseQuicBit:
-        out.grease_quic_bit = true;
+        out.set(kGreaseQuicBit, true);
         break;
-      case tp::kInitialRtt:
-        out.initial_rtt_us = read_varint_value();
+      case tp::kInitialSourceConnectionId:
+        out.set(kInitialScid, true);
+        out.scid_len_ = static_cast<std::uint32_t>(p.value.size());
         break;
       case tp::kGoogleConnectionOptions:
-        out.google_connection_options =
-            std::string(reinterpret_cast<const char*>(value.data()),
-                        value.size());
+        out.set(kGoogleConnectionOptions, true);
+        out.connection_options_ = slice();
         break;
       case tp::kUserAgent:
-        out.user_agent = std::string(
-            reinterpret_cast<const char*>(value.data()), value.size());
+        out.set(kUserAgent, true);
+        out.user_agent_ = slice();
         break;
       case tp::kGoogleVersion:
-        if (value.size() >= 4)
-          out.google_version = static_cast<std::uint32_t>(value[0]) << 24 |
-                               static_cast<std::uint32_t>(value[1]) << 16 |
-                               static_cast<std::uint32_t>(value[2]) << 8 |
-                               value[3];
+        if (p.value.size() >= 4) {
+          out.set(kGoogleVersion, true);
+          out.google_version_ = static_cast<std::uint32_t>(p.value[0]) << 24 |
+                                static_cast<std::uint32_t>(p.value[1]) << 16 |
+                                static_cast<std::uint32_t>(p.value[2]) << 8 |
+                                p.value[3];
+        }
         break;
       default:
-        break;  // unknown/GREASE ids are recorded in param_order only
+        break;  // unknown/GREASE ids are in the wire order only
     }
+  }
+  return out;
+}
+
+std::optional<TransportParameters> TransportParameters::parse(ByteView body) {
+  const auto wire = WireTransportParameters::parse(body);
+  if (!wire) return std::nullopt;
+  using N = WireTransportParameters::Numeric;
+  TransportParameters out;
+  out.max_idle_timeout = wire->numeric(N::MaxIdleTimeout);
+  out.max_udp_payload_size = wire->numeric(N::MaxUdpPayloadSize);
+  out.initial_max_data = wire->numeric(N::InitialMaxData);
+  out.initial_max_stream_data_bidi_local =
+      wire->numeric(N::InitialMaxStreamDataBidiLocal);
+  out.initial_max_stream_data_bidi_remote =
+      wire->numeric(N::InitialMaxStreamDataBidiRemote);
+  out.initial_max_stream_data_uni = wire->numeric(N::InitialMaxStreamDataUni);
+  out.initial_max_streams_bidi = wire->numeric(N::InitialMaxStreamsBidi);
+  out.initial_max_streams_uni = wire->numeric(N::InitialMaxStreamsUni);
+  out.max_ack_delay = wire->numeric(N::MaxAckDelay);
+  out.disable_active_migration = wire->disable_active_migration();
+  out.active_connection_id_limit = wire->numeric(N::ActiveConnectionIdLimit);
+  out.has_initial_source_connection_id =
+      wire->initial_source_connection_id_length().has_value();
+  out.max_datagram_frame_size = wire->numeric(N::MaxDatagramFrameSize);
+  out.grease_quic_bit = wire->grease_quic_bit();
+  out.initial_rtt_us = wire->numeric(N::InitialRtt);
+  if (const auto options = wire->google_connection_options(body))
+    out.google_connection_options = std::string(*options);
+  if (const auto agent = wire->user_agent(body))
+    out.user_agent = std::string(*agent);
+  out.google_version = wire->google_version();
+  out.ack_delay_exponent = wire->numeric(N::AckDelayExponent);
+  out.param_order.reserve(wire->param_count());
+  for (const ParamView p : wire->params(body)) {
+    out.param_order.push_back(p.id);
+    if (p.id == tp::kInitialSourceConnectionId)  // the last one counts
+      out.initial_source_connection_id.assign(p.value.begin(), p.value.end());
   }
   return out;
 }

@@ -429,7 +429,7 @@ TEST_F(BatchEquivalenceTest, ScorerBitIdenticalOn50kWireMutants) {
       continue;  // rejected upstream of the bank; nothing to check
     hs.transport = seed.transport;
     if (const auto tp_body = hs.chlo.quic_transport_parameters())
-      hs.quic_tp = quic::TransportParameters::parse(*tp_body);
+      hs.quic_tp = quic::WireTransportParameters::parse(*tp_body);
     if (hs.transport == Transport::Quic && !hs.quic_tp)
       hs.transport = Transport::Tcp;
 

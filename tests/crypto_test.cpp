@@ -4,8 +4,10 @@
 // Initial key schedule, exercised here at the HKDF layer, and the header
 // protection mask). The kernel oracle at the end checks every AES, GHASH
 // and SHA-256 kernel this CPU can run against a reference: the portable
-// GHASH and PCLMULQDQ against a bit-serial GF(2^128) multiply, AES-NI and
-// SHA-NI against their portable twins.
+// GHASH and the aggregated PCLMULQDQ GHASH against a bit-serial GF(2^128)
+// multiply, the AES-NI key schedule, block and 8-block CTR and SHA-NI
+// against their portable twins. The one-block HMAC is checked against a
+// streaming HMAC built from Sha256.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -36,6 +38,18 @@ ByteView sv(const std::string& s) {
 template <std::size_t N>
 std::string hex_of(const std::array<std::uint8_t, N>& a) {
   return to_hex(ByteView{a.data(), a.size()});
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+Block random_block(Rng& rng) {
+  Block out;
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
 }
 
 // ---- SHA-256 ----
@@ -122,6 +136,49 @@ TEST(HmacSha256, Rfc4231Case6LongKey) {
   EXPECT_EQ(hex_of(hmac_sha256(
                 key, sv("Test Using Larger Than Block-Size Key - Hash Key First"))),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+/// HMAC as RFC 2104 writes it, from two streaming hashes.
+Sha256::Digest streaming_hmac(ByteView key, ByteView message) {
+  std::array<std::uint8_t, Sha256::kBlockSize> pad{};
+  if (key.size() > pad.size()) {
+    const auto digest = Sha256::digest(key);
+    std::copy(digest.begin(), digest.end(), pad.begin());
+  } else {
+    std::copy(key.begin(), key.end(), pad.begin());
+  }
+  Sha256 inner;
+  for (auto& b : pad) b ^= 0x36;
+  inner.update(pad);
+  inner.update(message);
+  const auto inner_digest = inner.finish();
+  Sha256 outer;
+  for (auto& b : pad) b ^= 0x36 ^ 0x5c;
+  outer.update(pad);
+  outer.update(inner_digest);
+  return outer.finish();
+}
+
+TEST(HmacSha256, OneBlockMacMatchesStreamingForLengths0To200) {
+  // Lengths up to kOneBlockMessage take the one-block path, longer ones
+  // stream; both must equal the textbook construction, whole or in parts.
+  Rng rng(0x686d6163);
+  for (const std::size_t key_len : {0, 16, 32, 64, 65, 131}) {
+    const Bytes key = random_bytes(rng, key_len);
+    const HmacSha256 hmac(key);
+    for (std::size_t n = 0; n <= 200; ++n) {
+      const Bytes message = random_bytes(rng, n);
+      const auto expected = streaming_hmac(key, message);
+      ASSERT_EQ(hmac.mac({message}), expected)
+          << "key length " << key_len << ", message length " << n;
+      const std::size_t cut = n == 0 ? 0 : rng.uniform(0, n);
+      const ByteView whole(message);
+      ASSERT_EQ(hmac.mac({whole.first(cut), ByteView{}, whole.subspan(cut)}),
+                expected)
+          << "key length " << key_len << ", message length " << n
+          << ", split at " << cut;
+    }
+  }
 }
 
 // ---- HKDF (RFC 5869) ----
@@ -279,6 +336,93 @@ TEST(Aes128Gcm, OpenRejectsWrongNonceSize) {
   }
 }
 
+struct GcmCase {
+  const char* name;
+  const char* key;
+  const char* nonce;
+  const char* aad;
+  const char* plaintext;
+  const char* ciphertext_and_tag;
+};
+
+/// NIST GCM specification test cases 1-4 (AES-128, 96-bit IV).
+const GcmCase kNistGcmCases[] = {
+    {"case 1", "00000000000000000000000000000000", "000000000000000000000000",
+     "", "", "58e2fccefa7e3061367f1d57a4e7455a"},
+    {"case 2", "00000000000000000000000000000000", "000000000000000000000000",
+     "", "00000000000000000000000000000000",
+     "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"},
+    {"case 3", "feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+     "",
+     "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+     "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+     "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+     "4d5c2af327cd64a62cf35abd2ba6fab4"},
+    {"case 4", "feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+     "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+     "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+     "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+     "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+     "5bc94fbc3221a5db94fae95ae7121a47"},
+};
+
+TEST(Aes128Gcm, NistCases1To4ThroughSealOpenAndOpenInto) {
+  for (const GcmCase& c : kNistGcmCases) {
+    const Bytes key = from_hex(c.key);
+    const Bytes nonce = from_hex(c.nonce);
+    const Bytes aad = from_hex(c.aad);
+    const Bytes plaintext = from_hex(c.plaintext);
+    const Bytes sealed = from_hex(c.ciphertext_and_tag);
+    const Aes128Gcm gcm(key);
+    EXPECT_EQ(to_hex(gcm.seal(nonce, aad, plaintext)), c.ciphertext_and_tag)
+        << c.name;
+    const auto opened = gcm.open(nonce, aad, sealed);
+    ASSERT_TRUE(opened.has_value()) << c.name;
+    EXPECT_EQ(*opened, plaintext) << c.name;
+    Bytes out(plaintext.size() + 5, 0xa5);
+    ASSERT_TRUE(gcm.open_into(nonce, aad, sealed, out)) << c.name;
+    EXPECT_TRUE(std::equal(plaintext.begin(), plaintext.end(), out.begin()))
+        << c.name;
+    EXPECT_EQ(Bytes(out.end() - 5, out.end()), Bytes(5, 0xa5))
+        << c.name << ": wrote past the plaintext";
+  }
+}
+
+TEST(Aes128Gcm, OpenIntoLeavesOutputUntouchedOnBadTag) {
+  Rng rng(0x6f70656e);
+  const Bytes key = random_bytes(rng, 16);
+  const Bytes nonce = random_bytes(rng, 12);
+  const Bytes aad = random_bytes(rng, 21);
+  const Aes128Gcm gcm(key);
+  for (const std::size_t n : {0, 1, 15, 16, 17, 127, 128, 129, 1200}) {
+    const Bytes sealed = gcm.seal(nonce, aad, random_bytes(rng, n));
+    const Bytes canary(n + 16, 0xcc);
+    // One flipped bit in the first byte (ciphertext, or the tag when the
+    // plaintext is empty), in the tag's last byte, and in the AAD.
+    for (const std::size_t flip : {std::size_t{0}, sealed.size() - 1}) {
+      Bytes bad = sealed;
+      bad[flip] ^= 0x01;
+      Bytes out = canary;
+      EXPECT_FALSE(gcm.open_into(nonce, aad, bad, out));
+      EXPECT_EQ(out, canary) << "length " << n << ", flipped byte " << flip;
+    }
+    Bytes bad_aad = aad;
+    bad_aad[3] ^= 0x80;
+    Bytes out = canary;
+    EXPECT_FALSE(gcm.open_into(nonce, bad_aad, sealed, out));
+    EXPECT_EQ(out, canary) << "length " << n << ", flipped AAD bit";
+  }
+  // A short input fails without writing; a short output is a caller error.
+  Bytes out(8, 0xcc);
+  EXPECT_FALSE(gcm.open_into(nonce, aad, from_hex("0011"), out));
+  EXPECT_EQ(out, Bytes(8, 0xcc));
+  const Bytes sealed = gcm.seal(nonce, aad, Bytes(9, 1));
+  EXPECT_THROW((void)gcm.open_into(nonce, aad, sealed, out),
+               std::invalid_argument);
+}
+
 // ---- MD5 (RFC 1321 Appendix A.5) ----
 
 TEST(Md5, Rfc1321Vectors) {
@@ -318,18 +462,6 @@ void ghash_reference(const Block& h, Block& y, ByteView data) {
   }
 }
 
-Bytes random_bytes(Rng& rng, std::size_t n) {
-  Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
-  return out;
-}
-
-Block random_block(Rng& rng) {
-  Block out;
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
-  return out;
-}
-
 using GhashKernel = std::function<void(const Block& h, Block& y, ByteView)>;
 
 /// GCM's use of GHASH: AAD, ciphertext, then the bit-length block.
@@ -345,14 +477,16 @@ Block gcm_ghash(const GhashKernel& kernel, const Block& h, Block y,
   return y;
 }
 
-/// Every ciphertext length 0-300 (so every tail length mod 16), with random
-/// H, starting value, AAD length and bytes.
-void expect_matches_bit_serial(const GhashKernel& kernel) {
+/// Every ciphertext length 0 to `max_length` (so every tail length mod 16,
+/// and for the aggregated kernel every block count mod 8), with random H,
+/// starting value, AAD length and bytes.
+void expect_matches_bit_serial(const GhashKernel& kernel,
+                               std::size_t max_length) {
   Rng rng(0x67686173);
-  for (std::size_t n = 0; n <= 300; ++n) {
+  for (std::size_t n = 0; n <= max_length; ++n) {
     const Block h = random_block(rng);
     const Block y = random_block(rng);
-    const Bytes aad = random_bytes(rng, rng.uniform(0, 40));
+    const Bytes aad = random_bytes(rng, rng.uniform(0, 200));
     const Bytes ciphertext = random_bytes(rng, n);
     ASSERT_EQ(gcm_ghash(kernel, h, y, aad, ciphertext),
               gcm_ghash(ghash_reference, h, y, aad, ciphertext))
@@ -361,16 +495,84 @@ void expect_matches_bit_serial(const GhashKernel& kernel) {
 }
 
 TEST(GhashKernel, PortableMatchesBitSerial) {
-  expect_matches_bit_serial([](const Block& h, Block& y, ByteView data) {
-    kernels::ghash_portable(kernels::ghash_table(h), y, data);
-  });
+  expect_matches_bit_serial(
+      [](const Block& h, Block& y, ByteView data) {
+        kernels::ghash_portable(kernels::ghash_table(h), y, data);
+      },
+      300);
 }
 
 #if VPSCOPE_CRYPTO_X86
 TEST(GhashKernel, PclmulMatchesBitSerial) {
+  // The aggregated kernel: H^1..H^8 from ghash_powers_pclmul, 8 blocks per
+  // reduction, then a one-block tail.
   if (!cpu_features().pclmul || !cpu_features().ssse3)
     GTEST_SKIP() << "CPU lacks PCLMULQDQ";
-  expect_matches_bit_serial(kernels::ghash_pclmul);
+  expect_matches_bit_serial(
+      [](const Block& h, Block& y, ByteView data) {
+        kernels::ghash_pclmul(kernels::ghash_powers_pclmul(h), y, data);
+      },
+      2048);
+}
+
+TEST(AesKernel, AesniKeyExpansionMatchesPortable) {
+  if (!cpu_features().aes) GTEST_SKIP() << "CPU lacks AES-NI";
+  // FIPS 197 Appendix A.1: the last round key, w[40..43], for this key.
+  const Bytes fips_key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
+  const auto fips = kernels::aes128_expand_key_aesni(fips_key);
+  EXPECT_EQ(to_hex(ByteView{fips.data() + 160, 16}),
+            "d014f9a8c9ee2589e13f0cc8b6630ca6");
+  EXPECT_EQ(fips, kernels::aes128_expand_key(fips_key));
+  Rng rng(0x6b657973);
+  for (int i = 0; i < 10'000; ++i) {
+    const Bytes key = random_bytes(rng, 16);
+    ASSERT_EQ(kernels::aes128_expand_key_aesni(key),
+              kernels::aes128_expand_key(key))
+        << "key " << to_hex(key);
+  }
+  EXPECT_THROW((void)kernels::aes128_expand_key_aesni(Bytes(15)),
+               std::invalid_argument);
+}
+
+/// CTR one block at a time on the portable block kernel.
+Bytes ctr_reference(const kernels::AesRoundKeys& round_keys, Block counter,
+                    ByteView in) {
+  Bytes out(in.begin(), in.end());
+  for (std::size_t pos = 0; pos < in.size(); pos += 16) {
+    Block keystream = counter;
+    kernels::aes128_encrypt_portable(round_keys, keystream);
+    for (std::size_t i = 0; i < 16 && pos + i < in.size(); ++i)
+      out[pos + i] ^= keystream[i];
+    for (std::size_t i = 15; i >= 12; --i)  // inc32
+      if (++counter[i] != 0) break;
+  }
+  return out;
+}
+
+TEST(AesKernel, EightBlockCtrMatchesOneBlockCtr) {
+  if (!cpu_features().aes) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(0x63747238);
+  for (std::size_t n = 0; n <= 2048; ++n) {
+    const auto round_keys = kernels::aes128_expand_key(random_bytes(rng, 16));
+    Block counter = random_block(rng);
+    if (n % 2 == 0) {
+      // Start at 0xfffffffa: inc32 wraps inside the first 8-block stride.
+      counter[12] = counter[13] = counter[14] = 0xff;
+      counter[15] = 0xfa;
+    }
+    const Bytes in = random_bytes(rng, n);
+    const Bytes expected = ctr_reference(round_keys, counter, in);
+    Bytes out(n + 1, 0xee);  // one guard byte past the output
+    kernels::aes128_ctr_xor_aesni(round_keys, counter, in.data(), out.data(),
+                                  n);
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
+        << "length " << n << ", counter " << to_hex(counter);
+    ASSERT_EQ(out[n], 0xee) << "wrote past length " << n;
+    Bytes in_place = in;
+    kernels::aes128_ctr_xor_aesni(round_keys, counter, in_place.data(),
+                                  in_place.data(), n);
+    ASSERT_EQ(in_place, expected) << "in place, length " << n;
+  }
 }
 
 TEST(AesKernel, AesniMatchesPortable) {

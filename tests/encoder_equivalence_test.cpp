@@ -24,8 +24,11 @@
 #include "core/attributes.hpp"
 #include "core/encoder.hpp"
 #include "core/handshake.hpp"
+#include "net/packet.hpp"
+#include "quic/initial.hpp"
 #include "pipeline/classifier_bank.hpp"
 #include "quic/transport_params.hpp"
+#include "reference_initial.hpp"
 #include "synth/dataset.hpp"
 #include "tls/constants.hpp"
 #include "util/rng.hpp"
@@ -207,8 +210,13 @@ std::array<RefAttr, kNumAttributes> reference_extract(const FlowHandshake& h) {
   }
   out[41] = ref_presence(has_ext(chlo, ext::kRenegotiationInfo));
 
-  if (h.transport == Transport::Quic && h.quic_tp) {
-    const quic::TransportParameters& tp = *h.quic_tp;
+  // The structural parse the flat WireTransportParameters replaced.
+  const auto ref_tp = h.transport == Transport::Quic && h.quic_tp
+                          ? reference::parse_transport_parameters(
+                                h.quic_tp_body())
+                          : std::nullopt;
+  if (ref_tp) {
+    const quic::TransportParameters& tp = *ref_tp;
     {
       std::vector<std::string> ids;
       for (std::uint64_t id : tp.param_order)
@@ -493,6 +501,109 @@ TEST(EncoderEquivalence, SignaturesMatchReferenceStrings) {
           << "attribute " << catalog[static_cast<std::size_t>(a)].label;
     }
   }
+}
+
+// ---- QUIC extraction in every datagram order ------------------------------
+// HandshakeExtractor decrypts each Initial into its stack, parses a hello
+// one Initial carries straight from the CRYPTO fragment and reassembles the
+// rest; the reference unprotects with the allocating path it replaced,
+// reassembles every fragment and parses the gapless prefix. Both must
+// complete on the same datagram with bit-identical features.
+
+struct ReferenceQuicExtraction {
+  std::optional<FlowHandshake> handshake;
+  std::size_t completed_at = 0;  // datagrams fed when it completed
+};
+
+ReferenceQuicExtraction reference_quic_extract(
+    const std::vector<net::Packet>& packets) {
+  ReferenceQuicExtraction out;
+  quic::CryptoReassembler reassembler;
+  FlowHandshake h;
+  bool seen = false;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const auto d = net::decode(packets[i]);
+    if (!d || !d->udp) continue;
+    const auto initial = reference::unprotect_client_initial(d->payload);
+    if (!initial) continue;
+    if (!seen) {
+      seen = true;
+      h.transport = Transport::Quic;
+      h.init_packet_size = d->ip_packet_size;
+      h.ttl = d->ttl;
+    }
+    if (!reassembler.add(*initial)) return out;
+    const ByteView stream = reassembler.prefix();
+    if (stream.size() >= 4 && h.chlo.parse_handshake(stream)) {
+      if (const auto body = h.chlo.quic_transport_parameters())
+        h.quic_tp = quic::WireTransportParameters::parse(*body);
+      out.handshake = std::move(h);
+      out.completed_at = i + 1;
+      return out;
+    }
+  }
+  return out;
+}
+
+TEST(EncoderEquivalence, QuicFlightsInEveryDatagramOrderBitIdentical) {
+  const auto& s = lab_scenarios()[1];  // YouTube QUIC
+  ASSERT_EQ(s.transport, Transport::Quic);
+  FeatureEncoder interned(s.transport);
+  interned.fit(s.handshakes);
+  ReferenceEncoder reference(s.transport);
+  reference.fit(s.handshakes);
+
+  Rng rng(0x0de7);
+  synth::FlowSynthesizer synth(rng);
+  const auto platforms =
+      fingerprint::platforms_for(Provider::YouTube, Transport::Quic);
+  RawAttrs raw;
+  std::vector<double> fast(interned.dimension());
+  std::size_t orders = 0, multi = 0;
+  for (std::size_t f = 0; f < 3 * platforms.size(); ++f) {
+    auto profile = fingerprint::make_profile(
+        platforms[f % platforms.size()], Provider::YouTube, Transport::Quic);
+    if (f >= platforms.size()) {
+      // One to three Initials per flight.
+      profile.quic.initial_datagram_size = 1200;
+      profile.tls.padding_to = rng.uniform(1100, 3000);
+    }
+    const auto flow = synth.synthesize(profile);
+    // The client Initials and the server's Initial, as the tap sees them.
+    std::vector<net::Packet> flight;
+    for (const auto& p : flow.packets) {
+      const auto d = net::decode(p);
+      if (d && d->udp && !d->payload.empty()) flight.push_back(p);
+    }
+    ASSERT_GE(flight.size(), 2u);
+    multi += flight.size() > 2;
+    std::vector<std::size_t> order(flight.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    do {
+      std::vector<net::Packet> packets;
+      for (const std::size_t i : order) packets.push_back(flight[i]);
+      const ReferenceQuicExtraction expected = reference_quic_extract(packets);
+      HandshakeExtractor extractor;
+      std::size_t fed = 0;
+      net::DecodedPacket decoded;
+      for (const auto& p : packets) {
+        ASSERT_TRUE(net::decode_into(p, decoded));
+        extractor.feed(decoded);
+        ++fed;
+        if (extractor.complete() || extractor.failed()) break;
+      }
+      ++orders;
+      ASSERT_EQ(extractor.complete(), expected.handshake.has_value())
+          << "flow " << f;
+      if (!expected.handshake) continue;
+      ASSERT_EQ(fed, expected.completed_at) << "flow " << f;
+      interned.transform_into(*extractor.handshake(), raw, fast);
+      ASSERT_EQ(fast, reference.transform(*expected.handshake))
+          << "flow " << f << ", " << flight.size() << " datagrams";
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  EXPECT_GT(multi, platforms.size());
+  EXPECT_GT(orders, 6 * platforms.size());
 }
 
 // ---- lookup_number oracle -------------------------------------------------

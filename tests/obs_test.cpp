@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -171,6 +172,53 @@ TEST(Counters, ConcurrentSlotsLoseNothing) {
   EXPECT_EQ(c.total(), 400000u);
   EXPECT_EQ(g.total(), 400000);
   for (int slot = 0; slot < 4; ++slot) EXPECT_EQ(c.value(slot), 100000u);
+}
+
+TEST(Counters, SingleWriterSlotsStayExactUnderAConcurrentScraper) {
+  // Counter::add is a load and a store, not a locked RMW: exact because
+  // each slot has one writer. A scraper summing meanwhile sees monotone,
+  // never-overshooting totals, and the final sum is exact.
+  constexpr int kSlots = 4;
+  constexpr std::uint64_t kAdds = 1'000'000;
+  Registry registry(kSlots);
+  Counter& c = registry.counter("t_total", "t");
+  std::atomic<int> running{kSlots};
+  std::vector<std::thread> writers;
+  for (int slot = 0; slot < kSlots; ++slot)
+    writers.emplace_back([&, slot] {
+      for (std::uint64_t i = 0; i < kAdds; ++i)
+        c.add(slot, 1, std::memory_order_release);
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  std::uint64_t last = 0;
+  bool monotone = true;
+  bool bounded = true;
+  while (running.load(std::memory_order_acquire) > 0) {
+    const std::uint64_t sum = c.total(std::memory_order_acquire);
+    monotone = monotone && sum >= last;
+    bounded = bounded && sum <= kSlots * kAdds;
+    last = sum;
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_TRUE(bounded);
+  EXPECT_EQ(c.total(), kSlots * kAdds);
+  for (int slot = 0; slot < kSlots; ++slot) EXPECT_EQ(c.value(slot), kAdds);
+}
+
+TEST(Counters, ContendedAddFromFourThreadsOnOneSlotIsExact) {
+  // The deliberate multi-writer case (a foreign thread bumping the
+  // dispatcher's contract-violation counter) goes through add_contended.
+  Registry registry(2);
+  Counter& c = registry.counter("t_total", "t");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < 250000; ++i) c.add_contended(1);
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(c.value(1), 1'000'000u);
+  EXPECT_EQ(c.value(0), 0u);
 }
 
 TEST(RegistryTest, RegistrationIsIdempotentOnNameAndLabels) {

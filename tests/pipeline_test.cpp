@@ -7,6 +7,8 @@
 #include <new>
 
 #include "core/handshake.hpp"
+#include "net/packet.hpp"
+#include "quic/initial.hpp"
 #include "pipeline/classifier_bank.hpp"
 #include "pipeline/pipeline.hpp"
 #include "synth/dataset.hpp"
@@ -392,6 +394,100 @@ TEST_F(PipelineTest, TcpHandshakeAllocatesOnlyTheHelloBufferAndTheSni) {
     (void)bank_->classify(*handshake, Provider::YouTube);
   EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed),
             classify_before);
+}
+
+TEST_F(PipelineTest, QuicHandshakeAllocatesOnlyTheHelloBufferAndTheSni) {
+  // YouTube QUIC flows as campus_mix replays them: the client Initial
+  // flight, then the server's Initial. The verdict lands inline on the
+  // Initial that completes the ClientHello.
+  constexpr std::size_t kFlows = 64;
+  Rng rng(37);
+  synth::FlowSynthesizer synth(rng);
+  const auto platforms =
+      fingerprint::platforms_for(Provider::YouTube, Transport::Quic);
+  ASSERT_FALSE(platforms.empty());
+  const auto initials_of = [](const synth::LabeledFlow& flow) {
+    std::size_t n = 0;
+    for (const auto& p : flow.packets) {
+      const auto d = net::decode(p);
+      if (d && d->udp && d->dst_port() == 443 &&
+          quic::looks_like_initial(d->payload))
+        ++n;
+    }
+    return n;
+  };
+  // As in the TCP pin, the measured flows carry SNIs longer than the
+  // warm-up's, so each FlowRecord::sni copy must allocate.
+  std::vector<synth::LabeledFlow> single, multi;
+  for (std::size_t i = 0; single.size() < 2 * kFlows && i < 100 * kFlows;
+       ++i) {
+    auto profile =
+        fingerprint::make_profile(platforms[i % platforms.size()],
+                                  Provider::YouTube, Transport::Quic);
+    profile.sni_candidates = {single.size() < kFlows
+                                  ? "rr1---sn-a.googlevideo.com"
+                                  : "rr1---sn-abcdefghijklmnop.googlevideo.com"};
+    auto flow = synth.synthesize(profile);
+    const std::size_t initials = initials_of(flow);
+    ASSERT_GE(initials, 1u);
+    if (initials == 1) single.push_back(std::move(flow));
+  }
+  ASSERT_EQ(single.size(), 2 * kFlows);
+  for (std::size_t i = 0; multi.size() < kFlows / 4; ++i) {
+    auto profile = fingerprint::make_profile(
+        platforms[i % platforms.size()], Provider::YouTube, Transport::Quic);
+    profile.sni_candidates = {"rr1---sn-abcdefghijklmnop.googlevideo.com"};
+    profile.quic.initial_datagram_size = 1200;
+    profile.tls.padding_to = 1600;  // a hello two Initials must carry
+    auto flow = synth.synthesize(profile);
+    if (initials_of(flow) == 2) multi.push_back(std::move(flow));
+    ASSERT_LT(i, 100 * kFlows) << "no two-Initial flights synthesized";
+  }
+
+  VideoFlowPipeline pipe(bank_);
+  pipe.set_sink([](telemetry::SessionRecord) {});
+  // Feeds each flow's Initials and the server's Initial; returns the
+  // allocations per packet position.
+  const auto feed = [&](const std::vector<synth::LabeledFlow>& flows,
+                        std::size_t from, std::size_t to,
+                        std::size_t packets) {
+    std::vector<std::uint64_t> per_packet(packets);
+    for (std::size_t i = from; i < to; ++i)
+      for (std::size_t p = 0; p < packets; ++p) {
+        const std::uint64_t before =
+            g_heap_allocations.load(std::memory_order_relaxed);
+        pipe.on_packet(flows[i].packets[p]);
+        per_packet[p] +=
+            g_heap_allocations.load(std::memory_order_relaxed) - before;
+      }
+    return per_packet;
+  };
+  // Warm-up, as in the TCP pin: slab, index, handshake slots and classify
+  // scratch reach their peak; every flow is then finalized and erased.
+  feed(single, 0, kFlows, 2);
+  pipe.flush_idle(std::numeric_limits<std::uint64_t>::max(), 0);
+  ASSERT_EQ(pipe.active_flows(), 0u);
+
+  // Per single-datagram flow, exactly two, both on the Initial: the
+  // WireClientHello buffer and the FlowRecord::sni copy. Nothing for the
+  // decrypt (stack scratch), the CRYPTO fragments (views, parsed in
+  // place), the transport parameters (flat) or the reassembler (unused).
+  const std::vector<std::uint64_t> expected = {2 * kFlows, 0};
+  EXPECT_EQ(feed(single, kFlows, 2 * kFlows, 2), expected);
+  EXPECT_EQ(pipe.stats().video_flows, 2 * kFlows);
+
+  // A two-Initial flight adds at most the reassembler's buffer and its
+  // ranges: the buffer grows once per Initial, the ranges once.
+  pipe.flush_idle(std::numeric_limits<std::uint64_t>::max(), 0);
+  const std::vector<std::uint64_t> per_packet =
+      feed(multi, 0, multi.size(), 3);
+  EXPECT_EQ(pipe.stats().video_flows, 2 * kFlows + multi.size());
+  EXPECT_LE(per_packet[0] + per_packet[1] + per_packet[2],
+            (2 + 3) * multi.size());
+  EXPECT_EQ(per_packet[2], 0u);
+
+  // In-flight cold slots hold one extractor each.
+  EXPECT_LE(sizeof(core::HandshakeExtractor), 480u);
 }
 
 }  // namespace
