@@ -94,26 +94,16 @@ bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
     h.ttl = packet.ttl;
     result_ = std::move(h);
   }
-  for (const quic::CryptoFragment& f : initial->crypto_frames)
-    if (!quic::within_crypto_stream(f.offset, f.data.size())) {
-      failed_ = true;
-      return true;
-    }
-  // The first CRYPTO data of the flow, starting at offset 0: when it holds
-  // the whole hello, parse it in place. Bytes of later fragments could not
-  // have displaced it in the reassembler (the first value received wins).
-  const auto first = initial->crypto_frames.begin();
-  if (reassembler_.received_bytes() == 0 &&
-      first != initial->crypto_frames.end() && first->offset == 0 &&
-      result_->chlo.parse_handshake(first->data)) {
-    finish();
+  // Every Initial's CRYPTO frames, however cut and ordered, go into the one
+  // reassembly buffer, which the hello keeps as its own once it parses.
+  if (!reassembler_.add(initial->crypto_frames)) {
+    failed_ = true;  // a frame ends past kMaxClientHelloStream
     return true;
   }
-  for (const quic::CryptoFragment& f : initial->crypto_frames)
-    reassembler_.add_fragment(f.offset, f.data);
-  const ByteView stream = reassembler_.prefix();
-  if (stream.size() < 4) return true;
-  if (result_->chlo.parse_handshake(stream)) finish();
+  if (reassembler_.hand_over([&](Bytes& buffer, std::size_t size) {
+        return result_->chlo.parse_handshake(buffer, size);
+      }))
+    finish();
   return true;
 }
 

@@ -54,10 +54,11 @@ inline constexpr std::size_t kMaxClientHelloStream = quic::kMaxCryptoStream;
 /// order; `handshake()` becomes available once the SYN+ClientHello (TCP) or
 /// a complete Initial CRYPTO stream (QUIC) has been seen. Mirrors how the
 /// real-time pipeline consumes a packet stream. The ClientHello is parsed
-/// once, straight into the handshake's WireClientHello: from the packet
-/// payload when one TCP segment carries it, from the CRYPTO fragment when
-/// one Initial carries it (decrypted into a stack buffer), else from the
-/// bytes buffered or reassembled so far.
+/// once into the handshake's WireClientHello: over TCP from the packet
+/// payload when one segment carries it, else from the bytes buffered so
+/// far; over QUIC each Initial is decrypted into a stack buffer, its CRYPTO
+/// frames go into the reassembler, and the hello keeps the reassembler's
+/// buffer as its own.
 class HandshakeExtractor {
  public:
   /// Returns true if the packet advanced the handshake state (i.e. was a

@@ -127,6 +127,26 @@ void aes128_encrypt_portable(const AesRoundKeys& round_keys, Block& block) {
   add_round_key(10);
 }
 
+void aes128_ctr_xor_portable(const AesRoundKeys& round_keys,
+                             const Block& counter, const std::uint8_t* in,
+                             std::uint8_t* out, std::size_t size) {
+  Block block = counter;
+  std::uint32_t count = static_cast<std::uint32_t>(counter[12]) << 24 |
+                        static_cast<std::uint32_t>(counter[13]) << 16 |
+                        static_cast<std::uint32_t>(counter[14]) << 8 |
+                        counter[15];
+  for (std::size_t pos = 0; pos < size; pos += 16, ++count) {
+    for (int i = 0; i < 4; ++i)
+      block[12 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(count >> (24 - 8 * i));
+    Block keystream = block;
+    aes128_encrypt_portable(round_keys, keystream);
+    const std::size_t take = std::min<std::size_t>(16, size - pos);
+    for (std::size_t i = 0; i < take; ++i)
+      out[pos + i] = in[pos + i] ^ keystream[i];
+  }
+}
+
 #if VPSCOPE_CRYPTO_X86
 
 namespace {
@@ -271,20 +291,32 @@ void aes_encrypt(const kernels::AesRoundKeys& round_keys,
   kernel(round_keys, block);
 }
 
-bool use_aesni() {
+using CtrKernel = void (*)(const kernels::AesRoundKeys&,
+                           const kernels::Block&, const std::uint8_t*,
+                           std::uint8_t*, std::size_t);
+
+CtrKernel ctr_kernel() {
 #if VPSCOPE_CRYPTO_X86
-  return cpu_features().aes;
-#else
-  return false;
+  if (cpu_features().aes) return kernels::aes128_ctr_xor_aesni;
 #endif
+  return kernels::aes128_ctr_xor_portable;
 }
 
-bool use_clmul() {
+void aes_ctr_xor(const kernels::AesRoundKeys& round_keys,
+                 const kernels::Block& counter, const std::uint8_t* in,
+                 std::uint8_t* out, std::size_t size) {
+  static const CtrKernel kernel = ctr_kernel();
+  kernel(round_keys, counter, in, out, size);
+}
+
+/// The GHASH key material for the kernel the CPU probe picks: H^1..H^8 for
+/// PCLMULQDQ, Shoup's table otherwise.
+Aes128Gcm::GhashKey ghash_key(const kernels::Block& h) {
 #if VPSCOPE_CRYPTO_X86
-  return cpu_features().pclmul && cpu_features().ssse3;
-#else
-  return false;
+  static const bool clmul = cpu_features().pclmul && cpu_features().ssse3;
+  if (clmul) return kernels::ghash_powers_pclmul(h);
 #endif
+  return kernels::ghash_table(h);
 }
 
 void store_be32(std::uint8_t* p, std::uint32_t v) {
@@ -324,24 +356,14 @@ std::array<std::uint8_t, Aes128::kBlockSize> Aes128::encrypt_block(
 }
 
 Aes128Gcm::Aes128Gcm(ByteView key)
-    : aes_(key),
-      h_(aes_.encrypt_block(kernels::Block{})),
-      aesni_(use_aesni()),
-      clmul_(use_clmul()) {
-#if VPSCOPE_CRYPTO_X86
-  if (clmul_) {
-    powers_ = kernels::ghash_powers_pclmul(h_);
-    return;
-  }
-#endif
-  table_ = kernels::ghash_table(h_);
-}
+    : aes_(key), ghash_key_(ghash_key(aes_.encrypt_block(kernels::Block{}))) {}
 
 void Aes128Gcm::ghash(kernels::Block& y, ByteView data) const {
 #if VPSCOPE_CRYPTO_X86
-  if (clmul_) return kernels::ghash_pclmul(powers_, y, data);
+  if (const auto* powers = std::get_if<kernels::GhashPowers>(&ghash_key_))
+    return kernels::ghash_pclmul(*powers, y, data);
 #endif
-  kernels::ghash_portable(table_, y, data);
+  kernels::ghash_portable(std::get<kernels::GhashTable>(ghash_key_), y, data);
 }
 
 kernels::Block Aes128Gcm::tag(const kernels::Block& j0, ByteView aad,
@@ -363,19 +385,7 @@ void Aes128Gcm::ctr_xor(const kernels::Block& j0, const std::uint8_t* in,
                         std::uint8_t* out, std::size_t size) const {
   kernels::Block counter = j0;
   store_be32(counter.data() + 12, 2);
-#if VPSCOPE_CRYPTO_X86
-  if (aesni_)
-    return kernels::aes128_ctr_xor_aesni(aes_.round_keys(), counter, in, out,
-                                         size);
-#endif
-  std::uint32_t ctr = 2;
-  for (std::size_t pos = 0; pos < size; pos += 16, ++ctr) {
-    store_be32(counter.data() + 12, ctr);
-    const kernels::Block keystream = aes_.encrypt_block(counter);
-    const std::size_t take = std::min<std::size_t>(16, size - pos);
-    for (std::size_t i = 0; i < take; ++i)
-      out[pos + i] = in[pos + i] ^ keystream[i];
-  }
+  aes_ctr_xor(aes_.round_keys(), counter, in, out, size);
 }
 
 Bytes Aes128Gcm::seal(ByteView nonce, ByteView aad, ByteView plaintext) const {

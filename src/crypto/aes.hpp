@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <variant>
 
 #include "crypto/kernels.hpp"
 #include "util/bytes.hpp"
@@ -53,6 +54,9 @@ class Aes128Gcm {
  public:
   static constexpr std::size_t kNonceSize = 12;
   static constexpr std::size_t kTagSize = 16;
+  /// What the GHASH kernel the CPU probe picks needs of H: its powers for
+  /// PCLMULQDQ, Shoup's table for the portable kernel.
+  using GhashKey = std::variant<kernels::GhashPowers, kernels::GhashTable>;
 
   explicit Aes128Gcm(ByteView key);
 
@@ -85,11 +89,7 @@ class Aes128Gcm {
                std::uint8_t* out, std::size_t size) const;
 
   Aes128 aes_;
-  kernels::Block h_;  // GHASH subkey = AES_K(0^128)
-  bool aesni_ = false;
-  bool clmul_ = false;
-  kernels::GhashPowers powers_;  // filled only when clmul_ is true
-  kernels::GhashTable table_;    // filled only when clmul_ is false
+  GhashKey ghash_key_;  // from the GHASH subkey H = AES_K(0^128)
 };
 
 }  // namespace vpscope::crypto

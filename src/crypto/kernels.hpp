@@ -48,6 +48,13 @@ AesRoundKeys aes128_expand_key(ByteView key);
 
 /// AES-128 encryption of one block in place.
 void aes128_encrypt_portable(const AesRoundKeys& round_keys, Block& block);
+/// AES-128 CTR: out = in ^ E(counter), E(inc32(counter)), ... with inc32
+/// the big-endian increment of the last 4 bytes mod 2^32. `in` and `out`
+/// are `size` bytes and may be the same buffer; a partial last block is
+/// neither read nor written past `size`. One block at a time.
+void aes128_ctr_xor_portable(const AesRoundKeys& round_keys,
+                             const Block& counter, const std::uint8_t* in,
+                             std::uint8_t* out, std::size_t size);
 
 /// GHASH absorb: for each 16-byte block X of `data` (the last one zero
 /// padded), y = (y ^ X) * H in GF(2^128).
@@ -63,10 +70,7 @@ void sha256_compress_portable(std::array<std::uint32_t, 8>& state,
 /// The same schedule from AESKEYGENASSIST; throws like aes128_expand_key.
 AesRoundKeys aes128_expand_key_aesni(ByteView key);
 void aes128_encrypt_aesni(const AesRoundKeys& round_keys, Block& block);
-/// AES-128 CTR: out = in ^ E(counter), E(inc32(counter)), ... with inc32
-/// the big-endian increment of the last 4 bytes mod 2^32. `in` and `out`
-/// are `size` bytes and may be the same buffer; a partial last block is
-/// neither read nor written past `size`.
+/// The CTR above with 8 blocks in flight.
 void aes128_ctr_xor_aesni(const AesRoundKeys& round_keys, const Block& counter,
                           const std::uint8_t* in, std::uint8_t* out,
                           std::size_t size);

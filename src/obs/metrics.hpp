@@ -5,12 +5,11 @@
 // table churn, shedding, stage latencies) lives in one Registry that is
 //
 //   * wait-free on the hot path: a metric owns one cache-line-padded slot
-//     per writer (shard workers + the dispatcher); counters and histograms
-//     record with plain relaxed load/store updates on the writer's own line
-//     (the slot is single-writer, so no locked instruction is needed at
-//     all) — no locks, no CAS loops, no sharing between shards. A counter a
-//     foreign thread bumps on purpose uses Counter::add_contended, the one
-//     locked read-modify-write;
+//     per writer (shard workers + the dispatcher); counters record with one
+//     relaxed atomic RMW on the writer's own line, histograms with plain
+//     relaxed load/store updates (the slot is single-writer, so no locked
+//     instruction is needed at all) — no locks, no CAS loops, no sharing
+//     between shards;
 //   * merged on scrape: readers sum the slots (and merge histogram buckets)
 //     at exposition time, so scraping never perturbs the data path.
 //
@@ -56,19 +55,8 @@ class Registry;
 /// Monotone per-slot counter. `add` is wait-free; `total` sums slots.
 class Counter {
  public:
-  /// Adds on the caller's own slot. A slot has one writer (the registry's
-  /// contract), so this is a relaxed load and a store with `order` — no
-  /// locked instruction; a second concurrent writer of the same slot would
-  /// lose counts. `order` must be a valid store order.
   void add(int slot, std::uint64_t n = 1,
            std::memory_order order = std::memory_order_relaxed) {
-    auto& v = cells_[static_cast<std::size_t>(slot)].v;
-    v.store(v.load(std::memory_order_relaxed) + n, order);
-  }
-  /// Adds on a slot other threads may write too: one atomic read-modify-
-  /// write, exact under any number of writers.
-  void add_contended(int slot, std::uint64_t n = 1,
-                     std::memory_order order = std::memory_order_relaxed) {
     cells_[static_cast<std::size_t>(slot)].v.fetch_add(n, order);
   }
   std::uint64_t value(int slot,

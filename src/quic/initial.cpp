@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -271,10 +272,97 @@ std::optional<InitialPacket> unprotect_client_initial(ByteView datagram) {
   return out;
 }
 
-bool CryptoReassembler::add(const InitialPacket& packet) {
-  for (const auto& [offset, data] : packet.crypto_fragments)
-    if (!add_fragment(offset, data)) return false;
+namespace {
+
+// The received bits: bit i of 64-bit word w marks stream byte 64 * w + i.
+
+std::size_t bitmap_bytes(std::size_t stream) { return (stream + 63) / 64 * 8; }
+
+std::uint64_t load_word(const std::uint8_t* bits, std::size_t w) {
+  std::uint64_t word;
+  std::memcpy(&word, bits + 8 * w, sizeof(word));
+  return word;
+}
+
+/// The first offset in [from, to) whose bit is `value`, or `to`.
+std::size_t find_bit(const std::uint8_t* bits, std::size_t from,
+                     std::size_t to, bool value) {
+  for (std::size_t at = from; at < to;) {
+    const std::size_t w = at / 64;
+    std::uint64_t word = load_word(bits, w);
+    if (!value) word = ~word;
+    word &= ~std::uint64_t{0} << (at % 64);
+    if (word != 0)
+      return std::min(to, w * 64 + static_cast<std::size_t>(
+                                       std::countr_zero(word)));
+    at = (w + 1) * 64;
+  }
+  return to;
+}
+
+void set_bits(std::uint8_t* bits, std::size_t from, std::size_t to) {
+  while (from < to) {
+    const std::size_t w = from / 64;
+    const std::size_t low = from % 64;
+    const std::size_t n = std::min<std::size_t>(64 - low, to - from);
+    const std::uint64_t mask =
+        (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1) << low;
+    const std::uint64_t word = load_word(bits, w) | mask;
+    std::memcpy(bits + 8 * w, &word, sizeof(word));
+    from += n;
+  }
+}
+
+ByteView fragment_data(const CryptoFragment& f) { return f.data; }
+std::uint64_t fragment_offset(const CryptoFragment& f) { return f.offset; }
+ByteView fragment_data(const std::pair<std::uint64_t, Bytes>& f) {
+  return f.second;
+}
+std::uint64_t fragment_offset(const std::pair<std::uint64_t, Bytes>& f) {
+  return f.first;
+}
+
+}  // namespace
+
+template <class Fragments>
+bool CryptoReassembler::add_all(const Fragments& fragments) {
+  std::size_t end = 0;
+  for (const auto& f : fragments) {
+    const ByteView data = fragment_data(f);
+    const std::uint64_t offset = fragment_offset(f);
+    if (!within_crypto_stream(offset, data.size())) return false;
+    end = std::max(end, static_cast<std::size_t>(offset) + data.size());
+    // The first handshake message's header: type, then a 24-bit length.
+    if (offset == 0 && data.size() >= 4) {
+      const std::size_t message_end =
+          4 + (std::size_t{data[1]} << 16 | std::size_t{data[2]} << 8 |
+               data[3]);
+      if (message_end <= kMaxCryptoStream) end = std::max(end, message_end);
+    }
+  }
+  reserve(end);
+  for (const auto& f : fragments)
+    add_fragment(fragment_offset(f), fragment_data(f));
   return true;
+}
+
+bool CryptoReassembler::add(const InitialPacket& packet) {
+  return add_all(packet.crypto_fragments);
+}
+
+bool CryptoReassembler::add(const CryptoFrames& frames) {
+  return add_all(frames);
+}
+
+void CryptoReassembler::reserve(std::size_t size) {
+  if (size <= size_) return;
+  Bytes grown(size + bitmap_bytes(size));  // zero: nothing new received
+  std::copy_n(buffer_.begin(), size_, grown.begin());
+  std::copy_n(buffer_.begin() + static_cast<std::ptrdiff_t>(size_),
+              bitmap_bytes(size_),
+              grown.begin() + static_cast<std::ptrdiff_t>(size));
+  buffer_.swap(grown);
+  size_ = size;
 }
 
 bool CryptoReassembler::add_fragment(std::uint64_t offset, ByteView data) {
@@ -282,39 +370,23 @@ bool CryptoReassembler::add_fragment(std::uint64_t offset, ByteView data) {
   if (data.empty()) return true;
   const auto begin = static_cast<std::size_t>(offset);
   const std::size_t end = begin + data.size();
-  if (buffer_.size() < end) buffer_.resize(end);
-  const auto fill = [&](std::size_t from, std::size_t to) {
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(from - begin),
-              data.begin() + static_cast<std::ptrdiff_t>(to - begin),
-              buffer_.begin() + static_cast<std::ptrdiff_t>(from));
-  };
-  // Copy only the gaps between the ranges this fragment overlaps or
-  // touches, then merge those ranges and the fragment into one.
-  auto first = std::lower_bound(
-      ranges_.begin(), ranges_.end(), begin,
-      [](const auto& range, std::size_t at) { return range.second < at; });
-  auto it = first;
-  std::size_t cursor = begin;
-  std::pair<std::size_t, std::size_t> merged{begin, end};
-  for (; it != ranges_.end() && it->first <= end; ++it) {
-    if (it->first > cursor) fill(cursor, it->first);
-    cursor = std::max(cursor, it->second);
-    merged.first = std::min(merged.first, it->first);
-    merged.second = std::max(merged.second, it->second);
-  }
-  if (cursor < end) fill(cursor, end);
-  if (first == it) {
-    ranges_.insert(first, merged);
-  } else {
-    *first = merged;
-    ranges_.erase(first + 1, it);
+  reserve(end);
+  std::uint8_t* bits = buffer_.data() + size_;
+  // Copy only the runs not received yet.
+  for (std::size_t at = find_bit(bits, begin, end, false); at < end;) {
+    const std::size_t stop = find_bit(bits, at, end, true);
+    std::copy(data.begin() + static_cast<std::ptrdiff_t>(at - begin),
+              data.begin() + static_cast<std::ptrdiff_t>(stop - begin),
+              buffer_.begin() + static_cast<std::ptrdiff_t>(at));
+    set_bits(bits, at, stop);
+    at = find_bit(bits, stop, end, false);
   }
   return true;
 }
 
 ByteView CryptoReassembler::prefix() const {
-  if (ranges_.empty() || ranges_.front().first != 0) return {};
-  return ByteView(buffer_).first(ranges_.front().second);
+  return ByteView(buffer_).first(
+      find_bit(buffer_.data() + size_, 0, size_, false));
 }
 
 Bytes CryptoReassembler::contiguous_prefix() const {
@@ -324,7 +396,9 @@ Bytes CryptoReassembler::contiguous_prefix() const {
 
 std::size_t CryptoReassembler::received_bytes() const {
   std::size_t total = 0;
-  for (const auto& [begin, end] : ranges_) total += end - begin;
+  for (std::size_t w = 0; w < bitmap_bytes(size_) / 8; ++w)
+    total += static_cast<std::size_t>(
+        std::popcount(load_word(buffer_.data() + size_, w)));
   return total;
 }
 

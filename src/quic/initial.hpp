@@ -149,14 +149,22 @@ std::optional<InitialView> unprotect_client_initial(
 std::optional<InitialPacket> unprotect_client_initial(ByteView datagram);
 
 /// Reassembles the client's CRYPTO stream from the Initials of one flow, in
-/// any arrival order, into one buffer with the ranges received so far.
-/// Bytes already received at an offset keep their first value (RFC 9000
-/// §2.2), so a duplicated or overlapping fragment never grows what is held.
+/// any arrival order, into one buffer: the stream bytes at their offsets,
+/// then one bit per stream byte marking what was received. Bytes already
+/// received at an offset keep their first value (RFC 9000 §2.2), so a
+/// duplicated or overlapping fragment never grows what is held. The buffer
+/// grows at most once per Initial, to the furthest fragment end or, once
+/// the stream's first 4 bytes are in, to the end of the handshake message
+/// they declare (RFC 9001 §4: the CRYPTO stream carries TLS handshake
+/// messages), so a ClientHello whose first Initial arrives first is
+/// reassembled in one allocation however its frames are cut and ordered.
 class CryptoReassembler {
  public:
-  /// Adds the packet's CRYPTO fragments. Returns false, refusing the rest
-  /// of the packet, when a fragment would end past kMaxCryptoStream.
+  /// Adds the packet's CRYPTO fragments. Returns false, holding none of
+  /// them, when one would end past kMaxCryptoStream.
   bool add(const InitialPacket& packet);
+  /// The same for the frames of an Initial unprotected into scratch.
+  bool add(const CryptoFrames& frames);
   /// Adds one fragment; false, holding nothing of it, when it would end
   /// past kMaxCryptoStream.
   bool add_fragment(std::uint64_t offset, ByteView data);
@@ -167,11 +175,25 @@ class CryptoReassembler {
   Bytes contiguous_prefix() const;
   /// Stream bytes held: the union of the fragments' ranges.
   std::size_t received_bytes() const;
+  /// Offers the buffer, whose first `size` bytes are prefix(), to
+  /// `take(Bytes& buffer, std::size_t size)`. When `take` moves the buffer
+  /// out it returns true, and this reassembler is left empty; otherwise
+  /// nothing changes.
+  template <class Take>
+  bool hand_over(Take&& take) {
+    if (!take(buffer_, prefix().size())) return false;
+    *this = CryptoReassembler();
+    return true;
+  }
 
  private:
-  Bytes buffer_;  // stream bytes at their offsets; unreceived bytes are 0
-  /// Received [begin, end) ranges, sorted, disjoint and never adjacent.
-  std::vector<std::pair<std::size_t, std::size_t>> ranges_;
+  /// Grows the buffer to hold stream bytes [0, size) in one allocation.
+  void reserve(std::size_t size);
+  template <class Fragments>
+  bool add_all(const Fragments& fragments);
+
+  Bytes buffer_;  // stream bytes [0, size_), then the received bits
+  std::size_t size_ = 0;
 };
 
 /// True if the datagram looks like a QUIC v1 long-header Initial (cheap

@@ -258,14 +258,14 @@ std::optional<std::vector<std::string>> ClientHello::application_settings()
 
 // ---- WireClientHello: the parser and the in-place decoders ----
 
-bool WireClientHello::parse_handshake(ByteView data) {
+std::optional<ByteView> WireClientHello::parse_fields(ByteView data) {
   *this = WireClientHello();
   Reader outer(data);
   const std::uint8_t msg_type = outer.u8();
   const std::uint32_t msg_len = outer.u24();
   if (!outer.ok() || msg_type != kHandshakeTypeClientHello ||
       outer.remaining() < msg_len)
-    return false;
+    return std::nullopt;
   // Confine all reads to the declared body. Callers legitimately pass
   // trailing bytes (a reassembled CRYPTO stream prefix, an accumulated TCP
   // stream), and those must never be parsed as ClientHello content.
@@ -274,17 +274,17 @@ bool WireClientHello::parse_handshake(ByteView data) {
 
   const std::uint16_t version = r.u16();
   r.skip(32);  // random
-  if (!r.ok()) return false;
+  if (!r.ok()) return std::nullopt;
   const std::uint8_t sid_len = r.u8();
   r.skip(sid_len);
   const std::uint16_t suites_len = r.u16();
-  if (!r.ok() || suites_len % 2 != 0) return false;
+  if (!r.ok() || suites_len % 2 != 0) return std::nullopt;
   const std::size_t suites_at = r.offset();
   r.skip(suites_len);
   const std::uint8_t comp_len = r.u8();
   const std::size_t comp_at = r.offset();
   r.skip(comp_len);
-  if (!r.ok()) return false;
+  if (!r.ok()) return std::nullopt;
 
   // Extensions are technically optional.
   const bool has_ext_block = !r.empty();
@@ -295,19 +295,18 @@ bool WireClientHello::parse_handshake(ByteView data) {
     // length must account for every remaining byte, and entries must
     // consume it exactly (no extension may straddle the end of the message).
     ext_len = r.u16();
-    if (!r.ok() || r.remaining() != ext_len) return false;
+    if (!r.ok() || r.remaining() != ext_len) return std::nullopt;
     const ByteView block = body.subspan(r.offset());
     for (std::size_t at = 0; at < block.size();) {
-      if (block.size() - at < 4) return false;
+      if (block.size() - at < 4) return std::nullopt;
       const std::uint16_t type = be16(block, at);
       if (type < kIndexedTypes && first_entry[type] == 0)
         first_entry[type] = static_cast<std::uint16_t>(at + 1);
       at += 4 + std::size_t{be16(block, at + 2)};
-      if (at > block.size()) return false;
+      if (at > block.size()) return std::nullopt;
     }
   }
 
-  body_.assign(body.begin(), body.end());
   legacy_version_ = version;
   session_id_len_ = sid_len;
   suites_at_ = static_cast<std::uint32_t>(suites_at);
@@ -318,6 +317,25 @@ bool WireClientHello::parse_handshake(ByteView data) {
   ext_len_ = ext_len;
   has_ext_block_ = has_ext_block;
   first_entry_ = first_entry;
+  return body;
+}
+
+bool WireClientHello::parse_handshake(ByteView data) {
+  const std::optional<ByteView> body = parse_fields(data);
+  if (!body) return false;
+  body_.assign(body->begin(), body->end());
+  return true;
+}
+
+bool WireClientHello::parse_handshake(Bytes& buffer, std::size_t size) {
+  const std::optional<ByteView> body =
+      parse_fields(ByteView(buffer).first(size));
+  if (!body) return false;
+  const auto header = body->data() - buffer.data();
+  const std::size_t length = body->size();
+  body_ = std::move(buffer);
+  body_.erase(body_.begin(), body_.begin() + header);
+  body_.resize(length);
   return true;
 }
 

@@ -232,6 +232,10 @@ class WireClientHello {
   /// the object left empty, when the bytes are not a well-formed
   /// ClientHello.
   bool parse_handshake(ByteView data);
+  /// The same parse over the first `size` bytes of `buffer`, keeping
+  /// `buffer` itself as this object's storage instead of copying from it:
+  /// on success `buffer` is moved from, on failure it is left as it was.
+  bool parse_handshake(Bytes& buffer, std::size_t size);
   /// Parses one TLS handshake record and the ClientHello inside it; bytes
   /// after the record are ignored.
   bool parse_record(ByteView data);
@@ -287,6 +291,11 @@ class WireClientHello {
 
  private:
   static constexpr std::size_t kIndexedTypes = 64;
+
+  /// Reads the fields of the Handshake message `data` starts with into this
+  /// object's offsets and returns its body, leaving the buffer to the
+  /// caller; nullopt, with the object left empty, when malformed.
+  std::optional<ByteView> parse_fields(ByteView data);
 
   ByteView field(std::size_t at, std::size_t len) const {
     return len == 0 ? ByteView{} : ByteView(body_).subspan(at, len);

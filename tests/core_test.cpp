@@ -507,6 +507,74 @@ TEST(CryptoReassembly, FrameReachingPastTheBoundFailsTheFlow) {
   EXPECT_FALSE(extractor.feed(as_udp(flight.front(), storage)));
 }
 
+TEST(CryptoReassembly, RandomFragmentsMatchAByteMapModel) {
+  // Random fragments, overlapping, duplicated and with values that differ
+  // from what an offset already holds, against the plainest model: one
+  // slot per stream byte, set by the first fragment that covers it. Offsets
+  // straddle the 64-byte words of the received bits and reach the bound.
+  Rng rng(0x7265);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t span =
+        trial % 4 == 0 ? quic::kMaxCryptoStream : rng.uniform(1, 300);
+    Bytes model(span);
+    std::vector<bool> have(span);
+    quic::CryptoReassembler reassembler;
+    for (std::size_t k = rng.uniform(1, 40); k > 0; --k) {
+      const std::size_t offset = rng.uniform(0, span - 1);
+      Bytes data(rng.uniform(0, std::min<std::size_t>(span - offset, 200)));
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+      std::vector<std::pair<std::uint64_t, Bytes>> fragments = {{offset, data}};
+      if (rng.bernoulli(0.3)) {  // a second fragment in the same packet
+        const std::size_t at = rng.uniform(0, span - 1);
+        fragments.emplace_back(
+            at, Bytes(rng.uniform(0, std::min<std::size_t>(span - at, 90)),
+                      static_cast<std::uint8_t>(trial)));
+      }
+      quic::InitialPacket packet;
+      packet.crypto_fragments = fragments;
+      ASSERT_TRUE(reassembler.add(packet));
+      for (const auto& [at, bytes] : fragments)
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+          if (!have[at + i]) {
+            model[at + i] = bytes[i];
+            have[at + i] = true;
+          }
+      const std::size_t prefix = static_cast<std::size_t>(
+          std::find(have.begin(), have.end(), false) - have.begin());
+      ASSERT_EQ(reassembler.contiguous_prefix(),
+                Bytes(model.begin(),
+                      model.begin() + static_cast<std::ptrdiff_t>(prefix)))
+          << "trial " << trial;
+      ASSERT_EQ(reassembler.received_bytes(),
+                static_cast<std::size_t>(
+                    std::count(have.begin(), have.end(), true)))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(CryptoReassembly, HandOverMovesTheBufferOnlyWhenTaken) {
+  quic::CryptoReassembler reassembler;
+  ASSERT_TRUE(reassembler.add_fragment(0, from_hex("01000002aabbcc")));
+  ASSERT_TRUE(reassembler.add_fragment(9, from_hex("dd")));
+  std::size_t offered = 0;
+  EXPECT_FALSE(reassembler.hand_over([&](Bytes&, std::size_t size) {
+    offered = size;
+    return false;
+  }));
+  EXPECT_EQ(offered, 7u);
+  EXPECT_EQ(reassembler.received_bytes(), 8u);
+  Bytes taken;
+  EXPECT_TRUE(reassembler.hand_over([&](Bytes& buffer, std::size_t size) {
+    taken = std::move(buffer);
+    taken.resize(size);
+    return true;
+  }));
+  EXPECT_EQ(taken, from_hex("01000002aabbcc"));
+  EXPECT_EQ(reassembler.received_bytes(), 0u);
+  EXPECT_TRUE(reassembler.prefix().empty());
+}
+
 TEST(CryptoReassembly, LabFlightsReassembleIdenticallyInAnyOrder) {
   // The lab corpus' QUIC flows, plus every YouTube QUIC platform padded
   // into a multi-datagram flight.

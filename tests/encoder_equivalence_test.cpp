@@ -13,6 +13,7 @@
 // ctest labels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <map>
@@ -29,6 +30,7 @@
 #include "pipeline/classifier_bank.hpp"
 #include "quic/transport_params.hpp"
 #include "reference_initial.hpp"
+#include "sealed_initial.hpp"
 #include "synth/dataset.hpp"
 #include "tls/constants.hpp"
 #include "util/rng.hpp"
@@ -504,11 +506,13 @@ TEST(EncoderEquivalence, SignaturesMatchReferenceStrings) {
 }
 
 // ---- QUIC extraction in every datagram order ------------------------------
-// HandshakeExtractor decrypts each Initial into its stack, parses a hello
-// one Initial carries straight from the CRYPTO fragment and reassembles the
-// rest; the reference unprotects with the allocating path it replaced,
-// reassembles every fragment and parses the gapless prefix. Both must
-// complete on the same datagram with bit-identical features.
+// HandshakeExtractor decrypts each Initial into its stack and reassembles
+// every Initial's CRYPTO frames into the one buffer the hello then keeps;
+// the reference unprotects with the allocating path it replaced, keeps the
+// first byte received at each offset in a byte map and parses the gapless
+// prefix. Both must complete on the same datagram with bit-identical
+// features, for the synthesizer's one-frame Initials and for the same
+// Initials re-cut into shuffled CRYPTO frames.
 
 struct ReferenceQuicExtraction {
   std::optional<FlowHandshake> handshake;
@@ -518,7 +522,8 @@ struct ReferenceQuicExtraction {
 ReferenceQuicExtraction reference_quic_extract(
     const std::vector<net::Packet>& packets) {
   ReferenceQuicExtraction out;
-  quic::CryptoReassembler reassembler;
+  Bytes stream;
+  std::vector<bool> received;
   FlowHandshake h;
   bool seen = false;
   for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -532,9 +537,21 @@ ReferenceQuicExtraction reference_quic_extract(
       h.init_packet_size = d->ip_packet_size;
       h.ttl = d->ttl;
     }
-    if (!reassembler.add(*initial)) return out;
-    const ByteView stream = reassembler.prefix();
-    if (stream.size() >= 4 && h.chlo.parse_handshake(stream)) {
+    for (const auto& [offset, data] : initial->crypto_fragments) {
+      if (offset + data.size() > quic::kMaxCryptoStream) return out;
+      if (stream.size() < offset + data.size()) {
+        stream.resize(offset + data.size());
+        received.resize(stream.size());
+      }
+      for (std::size_t i = 0; i < data.size(); ++i)
+        if (!received[offset + i]) {
+          stream[offset + i] = data[i];
+          received[offset + i] = true;
+        }
+    }
+    const std::size_t prefix = static_cast<std::size_t>(
+        std::find(received.begin(), received.end(), false) - received.begin());
+    if (prefix >= 4 && h.chlo.parse_handshake(ByteView(stream).first(prefix))) {
       if (const auto body = h.chlo.quic_transport_parameters())
         h.quic_tp = quic::WireTransportParameters::parse(*body);
       out.handshake = std::move(h);
@@ -559,21 +576,29 @@ TEST(EncoderEquivalence, QuicFlightsInEveryDatagramOrderBitIdentical) {
       fingerprint::platforms_for(Provider::YouTube, Transport::Quic);
   RawAttrs raw;
   std::vector<double> fast(interned.dimension());
-  std::size_t orders = 0, multi = 0;
-  for (std::size_t f = 0; f < 3 * platforms.size(); ++f) {
+  std::size_t orders = 0, multi = 0, recut = 0;
+  for (std::size_t f = 0; f < 6 * platforms.size(); ++f) {
     auto profile = fingerprint::make_profile(
         platforms[f % platforms.size()], Provider::YouTube, Transport::Quic);
-    if (f >= platforms.size()) {
+    if (f % (3 * platforms.size()) >= platforms.size()) {
       // One to three Initials per flight.
       profile.quic.initial_datagram_size = 1200;
       profile.tls.padding_to = rng.uniform(1100, 3000);
     }
     const auto flow = synth.synthesize(profile);
-    // The client Initials and the server's Initial, as the tap sees them.
+    // The client Initials and the server's Initial, as the tap sees them;
+    // in the second half, each client Initial with room for it re-cut into
+    // 2-11 shuffled CRYPTO frames.
     std::vector<net::Packet> flight;
     for (const auto& p : flow.packets) {
       const auto d = net::decode(p);
-      if (d && d->udp && !d->payload.empty()) flight.push_back(p);
+      if (!d || !d->udp || d->payload.empty()) continue;
+      const auto cut = f >= 3 * platforms.size()
+                           ? sealed::reshuffled_initial(d->payload, rng,
+                                                        rng.uniform(2, 11))
+                           : std::nullopt;
+      recut += cut.has_value();
+      flight.push_back(cut ? sealed::with_udp_payload(p, *cut) : p);
     }
     ASSERT_GE(flight.size(), 2u);
     multi += flight.size() > 2;
@@ -602,8 +627,9 @@ TEST(EncoderEquivalence, QuicFlightsInEveryDatagramOrderBitIdentical) {
           << "flow " << f << ", " << flight.size() << " datagrams";
     } while (std::next_permutation(order.begin(), order.end()));
   }
-  EXPECT_GT(multi, platforms.size());
-  EXPECT_GT(orders, 6 * platforms.size());
+  EXPECT_GT(multi, 2 * platforms.size());
+  EXPECT_GT(orders, 12 * platforms.size());
+  EXPECT_GT(recut, 2 * platforms.size());
 }
 
 // ---- lookup_number oracle -------------------------------------------------

@@ -8,9 +8,9 @@
 // in any order between PING and PADDING, every truncation of a datagram
 // and 50k mutants. Where a pre-filter refuses a datagram the reference
 // accepts, the test names the rule; any other disagreement fails and
-// prints the datagram in hex. It also pins the extractor's in-place parse
-// of a one-Initial hello against the 16 KiB CRYPTO stream bound, and
-// compares the flat transport-parameter parse with the structural parser
+// prints the datagram in hex. It also pins the extractor against the 16 KiB
+// CRYPTO stream bound when one Initial carries a whole hello and a frame
+// past the bound, and compares the flat transport-parameter parse with the structural parser
 // it replaced (also kept in reference_initial.hpp) over the seed bodies,
 // their truncations and 50k mutants.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/handshake.hpp"
-#include "crypto/aes.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/mutator.hpp"
 #include "net/ip.hpp"
@@ -32,10 +31,13 @@
 #include "quic/initial.hpp"
 #include "quic/varint.hpp"
 #include "reference_initial.hpp"
+#include "sealed_initial.hpp"
 #include "util/rng.hpp"
 
 namespace vpscope {
 namespace {
+
+using sealed::seal_initial;
 
 /// The pre-filter rule that refuses `datagram` although the reference
 /// accepted it, or nullptr when no rule applies.
@@ -132,73 +134,6 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   return out;
 }
 
-/// A client Initial around an arbitrary plaintext frame sequence, sealed
-/// and header-protected as RFC 9001 §5 lays it out: a 2-byte Length, a
-/// 4-byte packet number, then PADDING up to `datagram_size`.
-Bytes seal_initial(ByteView dcid, ByteView scid, ByteView token,
-                   std::uint64_t pn, Bytes frames, std::size_t datagram_size) {
-  constexpr std::size_t kPnLen = 4;
-  const std::size_t header_len = 1 + 4 + 1 + dcid.size() + 1 + scid.size() +
-                                 quic::varint_size(token.size()) +
-                                 token.size() + 2 + kPnLen;
-  if (datagram_size > header_len + frames.size() + 16)
-    frames.resize(datagram_size - header_len - 16, 0x00);
-  Writer hdr;
-  hdr.u8(0xc0 | (kPnLen - 1));
-  hdr.u32(quic::kQuicVersion1);
-  hdr.u8(static_cast<std::uint8_t>(dcid.size()));
-  hdr.raw(dcid);
-  hdr.u8(static_cast<std::uint8_t>(scid.size()));
-  hdr.raw(scid);
-  quic::put_varint(hdr, token.size());
-  hdr.raw(token);
-  hdr.u16(static_cast<std::uint16_t>((kPnLen + frames.size() + 16) | 0x4000));
-  const std::size_t pn_offset = hdr.size();
-  hdr.u32(static_cast<std::uint32_t>(pn));
-
-  const quic::InitialKeys keys = quic::derive_client_initial_keys(dcid);
-  const Bytes sealed = crypto::Aes128Gcm(keys.key)
-                           .seal(reference::make_nonce(keys.iv, pn),
-                                 hdr.data(), frames);
-  Bytes packet = hdr.data();
-  packet.insert(packet.end(), sealed.begin(), sealed.end());
-  std::array<std::uint8_t, 16> sample;
-  std::copy_n(packet.begin() + static_cast<std::ptrdiff_t>(pn_offset + 4), 16,
-              sample.begin());
-  const auto mask = crypto::Aes128(keys.hp).encrypt_block(sample);
-  packet[0] ^= mask[0] & 0x0f;
-  for (std::size_t i = 0; i < kPnLen; ++i) packet[pn_offset + i] ^= mask[i + 1];
-  return packet;
-}
-
-/// 1-64 CRYPTO frames covering one stream, shuffled, with PING and PADDING
-/// runs between them.
-Bytes shuffled_crypto_frames(Rng& rng, ByteView stream) {
-  const std::size_t n = rng.uniform(1, 64);
-  std::vector<std::pair<std::size_t, std::size_t>> cuts;  // [begin, end)
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t end =
-        i + 1 == n ? stream.size()
-                   : std::min(stream.size(),
-                              at + rng.uniform(0, 2 * stream.size() / n + 1));
-    cuts.emplace_back(at, end);
-    at = end;
-  }
-  rng.shuffle(cuts);
-  Writer w;
-  for (const auto& [begin, end] : cuts) {
-    for (std::size_t k = rng.uniform(0, 3); k > 0; --k)
-      w.u8(rng.bernoulli(0.5) ? 0x01 : 0x00);  // PING or PADDING
-    if (rng.bernoulli(0.2)) w.raw(Bytes(rng.uniform(1, 40), 0x00));
-    w.u8(0x06);
-    quic::put_varint(w, begin);
-    quic::put_varint(w, end - begin);
-    w.raw(stream.subspan(begin, end - begin));
-  }
-  return std::move(w).take();
-}
-
 TEST(InitialOracle, LabCorpusFlightsAndGoldenPcapsAgree) {
   Tally tally;
   expect_agreement(corpus_datagrams(), tally);
@@ -260,7 +195,8 @@ TEST(InitialOracle, SealedInitialsWithUpTo64CryptoFramesAgree) {
         std::min<std::size_t>(seed.handshake.size(), 900));
     const Bytes datagram =
         seal_initial(dcid, scid, token, rng.uniform(0, 70000),
-                     shuffled_crypto_frames(rng, stream),
+                     sealed::shuffled_crypto_frames(rng, 0, stream,
+                                                    rng.uniform(1, 64)),
                      rng.uniform(1200, 1500));
     expect_agreement({datagram}, tally);
   }
@@ -361,9 +297,8 @@ TEST(InitialOracle, EachPreFilterRefusesWhatTheReferenceAccepts) {
 
 TEST(InitialOracle, ExtractorFailsAHelloInitialCarryingAFramePastTheBound) {
   // One Initial whose first CRYPTO frame holds a whole ClientHello at
-  // offset 0 parses it in place; a second frame in the same Initial that
-  // ends past kMaxCryptoStream fails the flow on that path too, as the
-  // reassembler would.
+  // offset 0: a second frame in the same Initial that ends past
+  // kMaxCryptoStream fails the flow before the hello is parsed.
   const fuzz::SeedCase* quic_seed = nullptr;
   for (const auto& seed : corpus())
     if (!seed.flight.empty() && seed.handshake.size() < 1000) {

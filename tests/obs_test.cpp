@@ -6,10 +6,10 @@
 // latency quantiles.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -175,9 +175,9 @@ TEST(Counters, ConcurrentSlotsLoseNothing) {
 }
 
 TEST(Counters, SingleWriterSlotsStayExactUnderAConcurrentScraper) {
-  // Counter::add is a load and a store, not a locked RMW: exact because
-  // each slot has one writer. A scraper summing meanwhile sees monotone,
-  // never-overshooting totals, and the final sum is exact.
+  // One writer per slot, as the registry lays them out: a scraper summing
+  // meanwhile sees monotone, never-overshooting totals, and the final sum
+  // is exact.
   constexpr int kSlots = 4;
   constexpr std::uint64_t kAdds = 1'000'000;
   Registry registry(kSlots);
@@ -207,14 +207,15 @@ TEST(Counters, SingleWriterSlotsStayExactUnderAConcurrentScraper) {
 }
 
 TEST(Counters, ContendedAddFromFourThreadsOnOneSlotIsExact) {
-  // The deliberate multi-writer case (a foreign thread bumping the
-  // dispatcher's contract-violation counter) goes through add_contended.
+  // Counter::add is one atomic read-modify-write, so it stays exact when
+  // several threads write one slot, as foreign threads do on purpose with
+  // the dispatcher's contract-violation counter.
   Registry registry(2);
   Counter& c = registry.counter("t_total", "t");
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)
     threads.emplace_back([&] {
-      for (int i = 0; i < 250000; ++i) c.add_contended(1);
+      for (int i = 0; i < 250000; ++i) c.add(1);
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(1), 1'000'000u);

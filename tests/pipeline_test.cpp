@@ -11,6 +11,7 @@
 #include "quic/initial.hpp"
 #include "pipeline/classifier_bank.hpp"
 #include "pipeline/pipeline.hpp"
+#include "sealed_initial.hpp"
 #include "synth/dataset.hpp"
 
 // Global allocation counter backing the handshake allocation pin: every
@@ -418,73 +419,84 @@ TEST_F(PipelineTest, QuicHandshakeAllocatesOnlyTheHelloBufferAndTheSni) {
   };
   // As in the TCP pin, the measured flows carry SNIs longer than the
   // warm-up's, so each FlowRecord::sni copy must allocate.
-  std::vector<synth::LabeledFlow> single, multi;
-  for (std::size_t i = 0; single.size() < 2 * kFlows && i < 100 * kFlows;
-       ++i) {
-    auto profile =
-        fingerprint::make_profile(platforms[i % platforms.size()],
-                                  Provider::YouTube, Transport::Quic);
-    profile.sni_candidates = {single.size() < kFlows
-                                  ? "rr1---sn-a.googlevideo.com"
-                                  : "rr1---sn-abcdefghijklmnop.googlevideo.com"};
-    auto flow = synth.synthesize(profile);
-    const std::size_t initials = initials_of(flow);
-    ASSERT_GE(initials, 1u);
-    if (initials == 1) single.push_back(std::move(flow));
+  const auto synthesize = [&](std::size_t count, std::size_t initials,
+                              std::string sni, std::size_t padding_to) {
+    std::vector<synth::LabeledFlow> flows;
+    for (std::size_t i = 0; flows.size() < count; ++i) {
+      auto profile = fingerprint::make_profile(
+          platforms[i % platforms.size()], Provider::YouTube, Transport::Quic);
+      profile.sni_candidates = {sni};
+      if (padding_to > 0) {
+        profile.quic.initial_datagram_size = 1200;
+        profile.tls.padding_to = padding_to;
+      }
+      auto flow = synth.synthesize(profile);
+      if (initials_of(flow) == initials) flows.push_back(std::move(flow));
+      EXPECT_LT(i, 100 * count) << "too few " << initials << "-Initial flows";
+      if (i >= 100 * count) break;
+    }
+    return flows;
+  };
+  const std::string long_sni = "rr1---sn-abcdefghijklmnop.googlevideo.com";
+  const auto warm = synthesize(kFlows, 1, "rr1---sn-a.googlevideo.com", 0);
+  const auto single = synthesize(kFlows, 1, long_sni, 0);
+  // Chrome's shape: each client Initial re-cut into 2-11 CRYPTO frames in
+  // shuffled order, with PING and PADDING between them.
+  auto shuffled = synthesize(kFlows, 1, long_sni, 0);
+  Rng cut_rng(41);
+  for (auto& flow : shuffled) {
+    const auto initial = net::decode(flow.packets[0]);
+    ASSERT_TRUE(initial && quic::looks_like_initial(initial->payload));
+    std::optional<Bytes> recut;
+    for (int tries = 0; !recut && tries < 50; ++tries)
+      recut = sealed::reshuffled_initial(initial->payload, cut_rng,
+                                         cut_rng.uniform(2, 11));
+    ASSERT_TRUE(recut.has_value()) << "no room to re-cut an Initial";
+    flow.packets[0] = sealed::with_udp_payload(flow.packets[0], *recut);
   }
-  ASSERT_EQ(single.size(), 2 * kFlows);
-  for (std::size_t i = 0; multi.size() < kFlows / 4; ++i) {
-    auto profile = fingerprint::make_profile(
-        platforms[i % platforms.size()], Provider::YouTube, Transport::Quic);
-    profile.sni_candidates = {"rr1---sn-abcdefghijklmnop.googlevideo.com"};
-    profile.quic.initial_datagram_size = 1200;
-    profile.tls.padding_to = 1600;  // a hello two Initials must carry
-    auto flow = synth.synthesize(profile);
-    if (initials_of(flow) == 2) multi.push_back(std::move(flow));
-    ASSERT_LT(i, 100 * kFlows) << "no two-Initial flights synthesized";
-  }
+  // A hello two Initials must carry.
+  const auto multi = synthesize(kFlows / 4, 2, long_sni, 1600);
+  ASSERT_EQ(multi.size(), kFlows / 4);
 
-  VideoFlowPipeline pipe(bank_);
-  pipe.set_sink([](telemetry::SessionRecord) {});
-  // Feeds each flow's Initials and the server's Initial; returns the
-  // allocations per packet position.
-  const auto feed = [&](const std::vector<synth::LabeledFlow>& flows,
-                        std::size_t from, std::size_t to,
-                        std::size_t packets) {
+  // Feeds each flow's first `packets` packets (its Initials, then the
+  // server's Initial) through a warmed-up pipeline; returns the allocations
+  // per packet position. Warm-up, as in the TCP pin: slab, index, handshake
+  // slots and classify scratch reach their peak; every flow is then
+  // finalized and erased.
+  const auto measure = [&](const std::vector<synth::LabeledFlow>& flows,
+                           std::size_t packets) {
+    VideoFlowPipeline pipe(bank_);
+    pipe.set_sink([](telemetry::SessionRecord) {});
+    for (const auto& flow : warm)
+      for (std::size_t p = 0; p < 2; ++p) pipe.on_packet(flow.packets[p]);
+    pipe.flush_idle(std::numeric_limits<std::uint64_t>::max(), 0);
+    EXPECT_EQ(pipe.active_flows(), 0u);
     std::vector<std::uint64_t> per_packet(packets);
-    for (std::size_t i = from; i < to; ++i)
+    for (const auto& flow : flows)
       for (std::size_t p = 0; p < packets; ++p) {
         const std::uint64_t before =
             g_heap_allocations.load(std::memory_order_relaxed);
-        pipe.on_packet(flows[i].packets[p]);
+        pipe.on_packet(flow.packets[p]);
         per_packet[p] +=
             g_heap_allocations.load(std::memory_order_relaxed) - before;
       }
+    EXPECT_EQ(pipe.stats().video_flows, warm.size() + flows.size());
     return per_packet;
   };
-  // Warm-up, as in the TCP pin: slab, index, handshake slots and classify
-  // scratch reach their peak; every flow is then finalized and erased.
-  feed(single, 0, kFlows, 2);
-  pipe.flush_idle(std::numeric_limits<std::uint64_t>::max(), 0);
-  ASSERT_EQ(pipe.active_flows(), 0u);
 
   // Per single-datagram flow, exactly two, both on the Initial: the
-  // WireClientHello buffer and the FlowRecord::sni copy. Nothing for the
-  // decrypt (stack scratch), the CRYPTO fragments (views, parsed in
-  // place), the transport parameters (flat) or the reassembler (unused).
+  // reassembly buffer, which the WireClientHello keeps as its own, and the
+  // FlowRecord::sni copy. Nothing for the decrypt (stack scratch), the
+  // CRYPTO fragments (views) or the transport parameters (flat), however
+  // the Initial cuts and orders its CRYPTO frames.
   const std::vector<std::uint64_t> expected = {2 * kFlows, 0};
-  EXPECT_EQ(feed(single, kFlows, 2 * kFlows, 2), expected);
-  EXPECT_EQ(pipe.stats().video_flows, 2 * kFlows);
+  EXPECT_EQ(measure(single, 2), expected);
+  EXPECT_EQ(measure(shuffled, 2), expected);
 
-  // A two-Initial flight adds at most the reassembler's buffer and its
-  // ranges: the buffer grows once per Initial, the ranges once.
-  pipe.flush_idle(std::numeric_limits<std::uint64_t>::max(), 0);
-  const std::vector<std::uint64_t> per_packet =
-      feed(multi, 0, multi.size(), 3);
-  EXPECT_EQ(pipe.stats().video_flows, 2 * kFlows + multi.size());
-  EXPECT_LE(per_packet[0] + per_packet[1] + per_packet[2],
-            (2 + 3) * multi.size());
-  EXPECT_EQ(per_packet[2], 0u);
+  // A two-Initial flight arriving in order: the first Initial sizes the
+  // buffer from the hello's declared length, the second completes it.
+  const std::vector<std::uint64_t> in_order = {multi.size(), multi.size(), 0};
+  EXPECT_EQ(measure(multi, 3), in_order);
 
   // In-flight cold slots hold one extractor each.
   EXPECT_LE(sizeof(core::HandshakeExtractor), 480u);
