@@ -332,13 +332,6 @@ bool CryptoReassembler::add_all(const Fragments& fragments) {
     const std::uint64_t offset = fragment_offset(f);
     if (!within_crypto_stream(offset, data.size())) return false;
     end = std::max(end, static_cast<std::size_t>(offset) + data.size());
-    // The first handshake message's header: type, then a 24-bit length.
-    if (offset == 0 && data.size() >= 4) {
-      const std::size_t message_end =
-          4 + (std::size_t{data[1]} << 16 | std::size_t{data[2]} << 8 |
-               data[3]);
-      if (message_end <= kMaxCryptoStream) end = std::max(end, message_end);
-    }
   }
   reserve(end);
   for (const auto& f : fragments)

@@ -153,11 +153,9 @@ std::optional<InitialPacket> unprotect_client_initial(ByteView datagram);
 /// then one bit per stream byte marking what was received. Bytes already
 /// received at an offset keep their first value (RFC 9000 §2.2), so a
 /// duplicated or overlapping fragment never grows what is held. The buffer
-/// grows at most once per Initial, to the furthest fragment end or, once
-/// the stream's first 4 bytes are in, to the end of the handshake message
-/// they declare (RFC 9001 §4: the CRYPTO stream carries TLS handshake
-/// messages), so a ClientHello whose first Initial arrives first is
-/// reassembled in one allocation however its frames are cut and ordered.
+/// grows at most once per Initial, to its furthest fragment end, so a
+/// ClientHello one Initial carries is reassembled in one allocation however
+/// its frames are cut and ordered.
 class CryptoReassembler {
  public:
   /// Adds the packet's CRYPTO fragments. Returns false, holding none of

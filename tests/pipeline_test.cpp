@@ -493,9 +493,10 @@ TEST_F(PipelineTest, QuicHandshakeAllocatesOnlyTheHelloBufferAndTheSni) {
   EXPECT_EQ(measure(single, 2), expected);
   EXPECT_EQ(measure(shuffled, 2), expected);
 
-  // A two-Initial flight arriving in order: the first Initial sizes the
-  // buffer from the hello's declared length, the second completes it.
-  const std::vector<std::uint64_t> in_order = {multi.size(), multi.size(), 0};
+  // A two-Initial flight arriving in order: the first Initial allocates the
+  // reassembly buffer, the second grows it once and completes the hello.
+  const std::vector<std::uint64_t> in_order = {multi.size(),
+                                               2 * multi.size(), 0};
   EXPECT_EQ(measure(multi, 3), in_order);
 
   // In-flight cold slots hold one extractor each.
