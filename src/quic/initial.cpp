@@ -331,7 +331,8 @@ bool CryptoReassembler::add_all(const Fragments& fragments) {
     const ByteView data = fragment_data(f);
     const std::uint64_t offset = fragment_offset(f);
     if (!within_crypto_stream(offset, data.size())) return false;
-    end = std::max(end, static_cast<std::size_t>(offset) + data.size());
+    if (!data.empty())
+      end = std::max(end, static_cast<std::size_t>(offset) + data.size());
   }
   reserve(end);
   for (const auto& f : fragments)

@@ -557,12 +557,18 @@ TEST(CryptoReassembly, HandOverMovesTheBufferOnlyWhenTaken) {
   quic::CryptoReassembler reassembler;
   ASSERT_TRUE(reassembler.add_fragment(0, from_hex("01000002aabbcc")));
   ASSERT_TRUE(reassembler.add_fragment(9, from_hex("dd")));
-  std::size_t offered = 0;
-  EXPECT_FALSE(reassembler.hand_over([&](Bytes&, std::size_t size) {
+  // An empty frame far out holds nothing and sizes nothing.
+  quic::InitialPacket empty_far;
+  empty_far.crypto_fragments = {{quic::kMaxCryptoStream - 1, Bytes{}}};
+  ASSERT_TRUE(reassembler.add(empty_far));
+  std::size_t offered = 0, held = 0;
+  EXPECT_FALSE(reassembler.hand_over([&](Bytes& buffer, std::size_t size) {
     offered = size;
+    held = buffer.size();
     return false;
   }));
   EXPECT_EQ(offered, 7u);
+  EXPECT_EQ(held, 10u + 8u);  // stream bytes [0, 10), one word of bits
   EXPECT_EQ(reassembler.received_bytes(), 8u);
   Bytes taken;
   EXPECT_TRUE(reassembler.hand_over([&](Bytes& buffer, std::size_t size) {
