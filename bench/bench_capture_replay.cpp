@@ -16,10 +16,6 @@
 #include <thread>
 #include <vector>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 #include "bench/campus_common.hpp"
 #include "capture/export.hpp"
 #include "capture/frame.hpp"
@@ -36,23 +32,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// CPUs this process may actually run on (same rationale as
-/// bench_pipeline_throughput: cgroup/taskset pinning makes shard "scaling"
-/// on fewer cores than shards a measurement of time-slicing).
-int effective_affinity() {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
-#endif
-  return static_cast<int>(std::thread::hardware_concurrency());
-}
-
-int usable_cores() {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return std::min(hw > 0 ? hw : 1, effective_affinity());
 }
 
 /// The capture under replay: the bench_pipeline flow mix, time-merged and
@@ -185,7 +164,7 @@ ShardReplayResult run_sharded_replay_once(ByteView image, int shards,
   ShardReplayResult out;
   out.shards = shards;
   out.batch_size = batch_size;
-  out.scaling_valid = usable_cores() >= shards;
+  out.scaling_valid = bench::usable_cores() >= shards;
   pipeline::ShardedPipeline pipe(&bench::campus_bank(),
                                  {.n_shards = shards,
                                   .queue_capacity = 4096,
@@ -224,7 +203,7 @@ void write_json(std::uint64_t frames, std::uint64_t image_bytes,
        << "  \"bench\": \"capture_replay\",\n"
        << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
-       << "  \"effective_affinity\": " << effective_affinity() << ",\n"
+       << "  \"effective_affinity\": " << bench::effective_affinity() << ",\n"
        << "  \"capture\": {\"frames\": " << frames
        << ", \"pcap_bytes\": " << image_bytes
        << ", \"wire_bytes\": " << reader.wire_bytes << "},\n"
@@ -299,7 +278,7 @@ void report() {
                          s.scaling_valid ? "yes" : "no"});
   shard_table.print(std::cout);
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
-            << ", effective affinity: " << effective_affinity()
+            << ", effective affinity: " << bench::effective_affinity()
             << " (rows with valid=no ran more shards than usable cores:\n"
                "they measure time-slicing, not parallel speedup)\n";
 

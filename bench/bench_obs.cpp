@@ -3,8 +3,10 @@
 // the question is not "metrics on vs off" but what each optional layer
 // adds on top of the baseline registry — the periodic exporter, per-stage
 // latency profiling (TSC tick reads, obs/clock.hpp), sampled flow tracing
-// + causal spans, and the embedded scrape server under a live scraper —
-// measured as end-to-end throughput deltas on the 8-shard front-end.
+// (causal spans + lifecycle instants), and the embedded scrape server under
+// a live scraper — measured as end-to-end throughput deltas on the 8-shard
+// front-end. The file records the usable cores: with fewer than 8 shards'
+// worth (scaling_valid false) the workers time-slice.
 // Acceptance targets: exporter / trace / http lanes within 3% of the
 // bare-registry baseline, profiling within 5%. Lanes are interleaved
 // per-repetition (repeat r of every lane before repeat r+1 of any — the
@@ -216,6 +218,11 @@ void write_json(const std::vector<LaneResult>& lanes) {
        << "  \"flows\": " << kFlows << ",\n"
        << "  \"packets\": " << bench_packets().size() << ",\n"
        << "  \"repeats\": " << kRepeats << ",\n"
+       << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n"
+       << "  \"usable_cores\": " << bench::usable_cores() << ",\n"
+       << "  \"scaling_valid\": "
+       << (bench::usable_cores() >= kShards ? "true" : "false") << ",\n"
        << "  \"methodology\": \"lanes interleaved per-repetition; overhead = "
           "median of per-cycle elapsed ratios vs base\",\n"
        << "  \"target_overhead_pct\": 3.0,\n"
@@ -244,17 +251,17 @@ void report() {
             << " interleaved cycles; throughput = best cycle, overhead = "
                "median of per-cycle ratios vs base.\n"
             << "The registry itself is always on — it IS the accounting; "
-               "lanes add the optional layers.\n";
+               "lanes add the optional layers.\n"
+            << "usable cores: " << bench::usable_cores() << " of "
+            << std::thread::hardware_concurrency() << " hardware threads\n";
   (void)obs_bank();  // train outside every timed region
 
   obs::ObsConfig profile_config;
   profile_config.profile_stages = true;
   obs::ObsConfig trace_config;
-  trace_config.trace_sample_n = 64;
-  trace_config.span_sample_n = 64;  // causal spans ride the same 1-in-N
+  trace_config.span_sample_n = 64;
   obs::ObsConfig all_config;
   all_config.profile_stages = true;
-  all_config.trace_sample_n = 64;
   all_config.span_sample_n = 64;
   const std::vector<Lane> lanes = {
       {"base", "registry counters only (production default)", {}, false,
@@ -263,15 +270,15 @@ void report() {
        3.0},
       {"profile", "+ stage histograms (TSC ticks, packet stages 1-in-4)",
        profile_config, false, false, 5.0},
-      {"trace", "+ 1-in-64 flow tracing + causal spans", trace_config, false,
-       false, 3.0},
+      {"trace", "+ 1-in-64 flow tracing (spans + lifecycle instants)",
+       trace_config, false, false, 3.0},
       {"http", "+ embedded scrape server, live /metrics scraper", {}, false,
        true, 3.0},
       // No individual budget for the everything-on lane: on a single-core
       // host the live scraper thread serializes against the pipeline, so
       // its cost is the sum of the parts plus scheduling pressure.
-      {"all", "exporter + profiling + tracing + spans + http", all_config,
-       true, true, 0.0},
+      {"all", "exporter + profiling + flow tracing + http", all_config, true,
+       true, 0.0},
   };
 
   std::vector<LaneResult> results(lanes.size());
@@ -377,7 +384,7 @@ BENCHMARK(BM_ScopedTimerEnabled)->Unit(benchmark::kNanosecond);
 void BM_SpanRecord(benchmark::State& state) {
   // One causal-span record on a sampled flow: mutex push into the slot ring.
   // Paid per stage per sampled flow event, never on unsampled flows.
-  obs::SpanRing ring(4096, 1, 0);
+  obs::SpanRing ring(4096, 0);
   std::uint64_t flow = 0x9E3779B97F4A7C15ULL;
   std::uint64_t parent = 0;
   for (auto _ : state) {

@@ -17,10 +17,6 @@
 #include <span>
 #include <thread>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 #include "bench/campus_common.hpp"
 #include "core/handshake.hpp"
 #include "crypto/kernels.hpp"
@@ -106,25 +102,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// CPUs this process may actually run on — cgroup/taskset pinning makes
-/// this smaller than hardware_concurrency on shared runners, and shard
-/// "scaling" numbers taken with fewer cores than shards measure scheduler
-/// time-slicing, not parallel speedup. Recorded per run so BENCH_pipeline
-/// trajectories across machines stay interpretable.
-int effective_affinity() {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
-#endif
-  return static_cast<int>(std::thread::hardware_concurrency());
-}
-
-int usable_cores() {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return std::min(hw > 0 ? hw : 1, effective_affinity());
-}
-
 struct SingleThreadResult {
   double elapsed_s = 0;
   std::size_t packets = 0;
@@ -179,7 +156,7 @@ ShardResult run_sharded_once(const std::vector<net::Packet>& packets,
   ShardResult out;
   out.shards = shards;
   out.batch_size = batch_size;
-  out.scaling_valid = usable_cores() >= shards;
+  out.scaling_valid = bench::usable_cores() >= shards;
   const auto start = std::chrono::steady_clock::now();
   pipeline::ShardedPipeline pipe(&bench::campus_bank(),
                                  {.n_shards = shards,
@@ -571,7 +548,7 @@ void write_json(const SingleThreadResult& single, const ClassifyResult& cls,
        << "  \"bench\": \"pipeline_throughput\",\n"
        << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
-       << "  \"effective_affinity\": " << effective_affinity() << ",\n"
+       << "  \"effective_affinity\": " << bench::effective_affinity() << ",\n"
        << "  \"single_thread\": {\n"
        << "    \"packets\": " << single.packets << ",\n"
        << "    \"elapsed_s\": " << single.elapsed_s << ",\n"
@@ -719,7 +696,7 @@ void report() {
                          s.scaling_valid ? "yes" : "no"});
   shard_table.print(std::cout);
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
-            << ", effective affinity: " << effective_affinity()
+            << ", effective affinity: " << bench::effective_affinity()
             << " (rows with valid=no ran more shards than usable cores:\n"
                "they measure time-slicing, not parallel speedup; per-flow\n"
                "ordering is preserved per shard by FlowKey-hash dispatch)\n";

@@ -7,10 +7,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "eval/scenario.hpp"
 #include "ml/forest.hpp"
@@ -83,6 +89,25 @@ inline ml::ForestParams eval_forest(std::uint64_t seed = 1) {
 
 /// 10-fold CV as in the paper's §4.3.1.
 inline constexpr int kFolds = 10;
+
+/// CPUs this process may actually run on — cgroup/taskset pinning makes
+/// this smaller than hardware_concurrency on shared runners, and shard
+/// "scaling" numbers taken with fewer cores than shards measure scheduler
+/// time-slicing, not parallel speedup. Recorded per run so BENCH_*.json
+/// trajectories across machines stay interpretable.
+inline int effective_affinity() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+inline int usable_cores() {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return std::min(hw > 0 ? hw : 1, effective_affinity());
+}
 
 }  // namespace vpscope::bench
 

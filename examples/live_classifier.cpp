@@ -253,7 +253,7 @@ int run_synth(int n_flows, const char* prometheus_path) {
   const auto bank = train_bank();
   obs::ObsConfig obs_config;
   obs_config.profile_stages = true;
-  obs_config.trace_sample_n = 1;  // console tool: trace every flow
+  obs_config.span_sample_n = 1;  // console tool: trace every flow
   apply_introspection_config(obs_config);
   pipeline::VideoFlowPipeline pipe(&bank, {}, obs_config);
   const auto http = start_http(pipe.observability());

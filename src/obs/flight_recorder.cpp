@@ -100,8 +100,8 @@ std::string FlightRecorder::render(std::string_view reason,
   append_u64(out, wall_ms());
   out += ",\"mono_ns\":";
   append_u64(out, tick_now_ns());
-  // Last-N spans, merged and ordered; the flow timeline at the moment of
-  // the event.
+  // Last-N spans, merged and ordered; the flow timeline and lifecycle at
+  // the moment of the event.
   out += ",\"spans\":[";
   bool first = true;
   for (const Span& s : obs_->recent_spans(options_.max_spans)) {
@@ -123,15 +123,8 @@ std::string FlightRecorder::render(std::string_view reason,
     append_u64(out, s.dur_ns);
     out += ",\"model_gen\":";
     append_u64(out, s.model_gen);
+    append_span_detail(out, s);
     out += '}';
-  }
-  out += ']';
-  // Per-shard state: the flow-event ring + registry view the watchdog dump
-  // sink also gets, one document per shard.
-  out += ",\"shards\":[";
-  for (int i = 0; i < obs_->n_shards(); ++i) {
-    if (i != 0) out += ',';
-    out += obs_->dump_shard(i);
   }
   out += "],\"metrics\":";
   out += json_text(obs_->registry());

@@ -1,21 +1,21 @@
 // Crash flight recorder (DESIGN.md §5k): the black box a 4-month unattended
-// deployment needs. A fixed-size window of recent state — last-N spans, the
-// per-shard flow-event rings, a full registry snapshot, caller-supplied app
-// context — is atomically dumped to a timestamped postmortem file when
+// deployment needs, and the one postmortem path. A fixed-size window of
+// recent state — the last-N spans across every slot ring, flow-lifecycle
+// instants and the watchdog's stranded/recovered marks included, one
+// registry snapshot, caller-supplied app context — is rendered into one
+// JSON document and atomically written to a timestamped file when
 // something goes wrong:
 //
-//   * watchdog trip        (ShardedPipeline::set_flight_recorder)
+//   * watchdog trip        (ShardedPipeline::set_flight_recorder; written
+//                           before the stuck callback runs)
 //   * canary rollback      (lifecycle poll in the dispatcher path)
 //   * admission quarantine (front-end model-dir wiring)
 //   * fatal signal         (install_crash_handler: SIGSEGV/SIGBUS/SIGFPE/
 //                           SIGABRT/SIGILL — best-effort: the handler
-//                           renders and writes, which is not strictly
-//                           async-signal-safe, but on a crash path the
-//                           alternative is nothing at all)
-//
-// This unifies and extends the PR-5 set_stuck_dump_sink path: the watchdog
-// still hands the per-shard dump JSON to that sink, and additionally the
-// recorder captures the whole process.
+//                           renders into a heap string and writes it with
+//                           stdio, neither of which is async-signal-safe,
+//                           but on a crash path the alternative is nothing
+//                           at all)
 #pragma once
 
 #include <atomic>
@@ -48,7 +48,7 @@ class FlightRecorder {
   void set_context_provider(std::function<std::string()> provider);
 
   /// Renders the postmortem document (testable without I/O): reason,
-  /// wall/mono timestamps, spans, per-shard flow-event rings, registry
+  /// wall/mono timestamps, spans with each instant's detail, registry
   /// snapshot, context. Valid JSON by construction.
   std::string render(std::string_view reason,
                      std::string_view detail = {}) const;

@@ -346,8 +346,6 @@ std::string healthz_json(const PipelineObs& obs, std::string_view app_status) {
   append_u64(out, bypassed > 0 ? static_cast<std::uint64_t>(bypassed) : 0);
   out += "},\"tracing\":{\"spans\":";
   out += obs.spans_enabled() ? "true" : "false";
-  out += ",\"flow_events\":";
-  out += obs.ring(0) != nullptr ? "true" : "false";
   out += "},\"app\":";
   out += app_status.empty() ? std::string_view("null") : app_status;
   out += '}';

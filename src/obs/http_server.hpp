@@ -6,8 +6,8 @@
 //   /metrics    Prometheus text exposition of the registry
 //   /healthz    drop-accounting identity + watchdog + lifecycle state, JSON
 //   /snapshot   full JSON registry snapshot
-//   /trace?n=K  the most recent K spans as Chrome trace_event JSON
-//               (curl it straight into Perfetto)
+//   /trace?n=K  the most recent K spans and lifecycle instants as Chrome
+//               trace_event JSON (curl it straight into Perfetto)
 //
 // Threat model: this is an operator loopback port, not an internet-facing
 // service. It binds 127.0.0.1 by default, serves GET only, caps request

@@ -1,13 +1,8 @@
 #include "obs/pipeline_obs.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include <algorithm>
 
-#include "fingerprint/platform.hpp"
 #include "obs/clock.hpp"
-#include "obs/export.hpp"
 #include "obs/perf_counters.hpp"
 
 namespace vpscope::obs {
@@ -93,17 +88,11 @@ PipelineObs::PipelineObs(int n_shards, ObsConfig config)
                                                 config_.hw_sample_period);
     profiler.set_hw(perf_.get());
   }
-  if (config_.trace_sample_n != 0 && config_.trace_ring_capacity != 0) {
-    rings_.reserve(static_cast<std::size_t>(n_shards_));
-    for (int i = 0; i < n_shards_; ++i)
-      rings_.push_back(std::make_unique<TraceRing>(config_.trace_ring_capacity,
-                                                   config_.trace_sample_n));
-  }
   if (config_.span_sample_n != 0 && config_.span_ring_capacity != 0) {
     span_rings_.reserve(static_cast<std::size_t>(n_shards_) + 1);
     for (int i = 0; i <= n_shards_; ++i)  // workers + the dispatcher
-      span_rings_.push_back(std::make_unique<SpanRing>(
-          config_.span_ring_capacity, config_.span_sample_n, i));
+      span_rings_.push_back(
+          std::make_unique<SpanRing>(config_.span_ring_capacity, i));
   }
   // Derived stranded gauge: per shard, the packets the dispatcher handed
   // over that the worker has not yet finished. Exact once the dispatcher
@@ -140,72 +129,6 @@ std::vector<Span> PipelineObs::recent_spans(std::size_t max) const {
   if (max != 0 && all.size() > max)
     all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(max));
   return all;
-}
-
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-/// 0xFF is the "no prediction" sentinel for the os/agent event fields.
-constexpr std::uint8_t kNoValue = 0xff;
-
-std::string os_name(std::uint8_t os) {
-  if (os == kNoValue) return "?";
-  return fingerprint::to_string(static_cast<fingerprint::Os>(os));
-}
-
-std::string agent_name(std::uint8_t agent) {
-  if (agent == kNoValue) return "?";
-  return fingerprint::to_string(static_cast<fingerprint::Agent>(agent));
-}
-
-}  // namespace
-
-std::string PipelineObs::dump_shard(int shard) const {
-  std::string out;
-  out.reserve(4096);
-  out += "{\"shard\":";
-  append_u64(out, static_cast<std::uint64_t>(shard));
-  out += ",\"trace\":[";
-  if (const TraceRing* ring = this->ring(shard)) {
-    bool first = true;
-    for (const TraceEvent& e : ring->drain_copy()) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"ts_us\":";
-      append_u64(out, e.ts_us);
-      out += ",\"flow\":";
-      append_u64(out, e.flow_hash);
-      out += ",\"event\":\"";
-      out += trace_event_kind_name(e.kind);
-      out += '"';
-      if (e.kind == TraceEventKind::Classified) {
-        out += ",\"os\":\"";
-        out += os_name(e.os);
-        out += "\",\"agent\":\"";
-        out += agent_name(e.agent);
-        out += "\",\"composite\":";
-        out += e.has_platform ? "true" : "false";
-        out += ",\"confidence\":";
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), "%.4f",
-                      static_cast<double>(e.confidence));
-        out += buf;
-      } else if (e.outcome != 0) {
-        out += ",\"detail\":";
-        append_u64(out, e.outcome);
-      }
-      out += '}';
-    }
-  }
-  out += "],\"metrics\":";
-  out += json_text(*registry_);
-  out += '}';
-  return out;
 }
 
 }  // namespace vpscope::obs

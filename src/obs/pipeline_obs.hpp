@@ -22,13 +22,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/timer.hpp"
-#include "obs/trace.hpp"
 
 namespace vpscope::obs {
 
@@ -54,14 +52,9 @@ struct ObsConfig {
   bool profile_hw = false;
   /// 1-in-N stage invocations bracketed by a perf group read per slot.
   int hw_sample_period = 64;
-  /// Flow-lifecycle tracing: deterministic 1-in-N sampling by flow-key
-  /// hash. 0 disables tracing (no rings allocated), 1 traces every flow.
-  std::uint64_t trace_sample_n = 0;
-  /// Bounded per-shard trace ring capacity (oldest events overwritten).
-  std::size_t trace_ring_capacity = 1024;
-  /// Causal span tracing (DESIGN.md §5k): deterministic 1-in-N by flow-key
-  /// hash, same rule as trace_sample_n but for the cross-thread span
-  /// timeline. 0 disables (no span rings, zero hot-path cost).
+  /// Flow tracing (DESIGN.md §5k): causal spans and lifecycle instants for
+  /// flows sampled deterministically 1-in-N by flow-key hash. 0 disables
+  /// (no span rings, zero hot-path cost), 1 traces every flow.
   std::uint64_t span_sample_n = 0;
   /// Bounded per-slot span ring capacity (oldest spans overwritten).
   std::size_t span_ring_capacity = 4096;
@@ -82,14 +75,6 @@ class PipelineObs {
   /// Shared handle for a PeriodicExporter outliving scrapes.
   std::shared_ptr<const Registry> registry_ptr() const { return registry_; }
 
-  /// Shard's trace ring; nullptr when tracing is disabled.
-  TraceRing* ring(int shard) {
-    return rings_.empty() ? nullptr : rings_[static_cast<std::size_t>(shard)].get();
-  }
-  const TraceRing* ring(int shard) const {
-    return rings_.empty() ? nullptr : rings_[static_cast<std::size_t>(shard)].get();
-  }
-
   /// Slot's span ring (slots [0, n_shards] — the dispatcher has one too);
   /// nullptr when span tracing is disabled.
   SpanRing* span_ring(int slot) {
@@ -103,7 +88,8 @@ class PipelineObs {
                : span_rings_[static_cast<std::size_t>(slot)].get();
   }
   bool spans_enabled() const { return !span_rings_.empty(); }
-  /// Deterministic span-sampling decision for a flow-key hash.
+  /// The one sampling decision for a flow-key hash: a sampled flow gets
+  /// its spans and lifecycle instants, an unsampled one neither.
   bool span_sampled(std::uint64_t flow_hash) const {
     return !span_rings_.empty() &&
            flow_hash % config_.span_sample_n == 0;
@@ -117,11 +103,6 @@ class PipelineObs {
   /// Hardware stage counters; null unless profile_hw && profile_stages.
   PerfStageCounters* perf_counters() { return perf_.get(); }
   const PerfStageCounters* perf_counters() const { return perf_.get(); }
-
-  /// Post-mortem JSON for one shard: its trace ring (platform enum values
-  /// rendered to names) plus a full registry snapshot. Parseable by
-  /// json_valid(); dumped by the stuck-shard watchdog.
-  std::string dump_shard(int shard) const;
 
  private:
   // Declaration order matters: the registry must be constructed before the
@@ -174,7 +155,6 @@ class PipelineObs {
   StageProfiler profiler;
 
  private:
-  std::vector<std::unique_ptr<TraceRing>> rings_;
   std::vector<std::unique_ptr<SpanRing>> span_rings_;
   std::unique_ptr<PerfStageCounters> perf_;
 };

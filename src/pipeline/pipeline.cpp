@@ -87,7 +87,6 @@ VideoFlowPipeline::VideoFlowPipeline(const ClassifierBank* bank,
   // two-slot registry. The sharded front-end replaces this via bind_obs.
   owned_obs_ = std::make_shared<obs::PipelineObs>(1, obs_config);
   obs_ = owned_obs_.get();
-  ring_ = obs_->ring(0);
   span_ring_ = obs_->span_ring(0);
   if (options_.classify_batch > 1 && bank_) batch_.emplace(bank_);
 }
@@ -140,7 +139,6 @@ void VideoFlowPipeline::apply_generation(
 void VideoFlowPipeline::bind_obs(obs::PipelineObs* obs, int slot) {
   obs_ = obs;
   slot_ = slot;
-  ring_ = obs->ring(slot);
   span_ring_ = obs->span_ring(slot);
   owned_obs_.reset();
 }
@@ -171,14 +169,12 @@ PipelineStats VideoFlowPipeline::stats() const {
   return s;
 }
 
-void VideoFlowPipeline::trace_push(obs::TraceEventKind kind,
-                                   std::uint64_t ts_us,
-                                   const Flows::Record& flow) {
-  obs::TraceEvent event;
-  event.ts_us = ts_us;
+void VideoFlowPipeline::record_instant(const Flows::Record& flow,
+                                       obs::Span event) {
   event.flow_hash = flow.hash;
-  event.kind = kind;
-  ring_->push(event);
+  event.parent_id = flow.value.span_last;
+  event.model_gen = adopted_model_gen_;
+  span_ring_->record_instant(event);
 }
 
 void VideoFlowPipeline::on_packet(const net::Packet& packet) {
@@ -203,7 +199,7 @@ void VideoFlowPipeline::on_packet(const net::Packet& packet) {
   if (!span_ring_ && !rides_https(decoded)) return;
   const net::FlowKey key = decoded.flow_key();
   const std::uint64_t hash = net::FlowKeyHash{}(key);
-  if (span_ring_ && span_ring_->sampled(hash))
+  if (span_ring_ && obs_->span_sampled(hash))
     packet_span_parent_ =
         span_ring_->record(obs::SpanKind::Parse, hash, 0, t_parse,
                            obs::tick_now_ns(), adopted_model_gen_);
@@ -222,8 +218,7 @@ void VideoFlowPipeline::erase_flow(FlowId id) {
   flows_.erase(id);
 }
 
-bool VideoFlowPipeline::admit_flow(FlowId id, bool inserted,
-                                   std::uint64_t ts_us) {
+bool VideoFlowPipeline::admit_flow(FlowId id, bool inserted) {
   if (options_.max_flows == 0) return true;
   // Idle-ordered by construction: insert appends to the LRU list and every
   // packet moves its flow to the back, so the front is the longest-idle
@@ -237,8 +232,8 @@ bool VideoFlowPipeline::admit_flow(FlowId id, bool inserted,
     // flows_total was not yet counted for it — the caller counts only after
     // admission succeeds, keeping the counter monotone (every packet of a
     // refused flow retries the insert, and retries are not new flows).
-    if (ring_ && flows_[id].value.traced)
-      trace_push(obs::TraceEventKind::Rejected, ts_us, flows_[id]);
+    if (flows_[id].value.traced)
+      record_instant(flows_[id], {.kind = obs::SpanKind::Rejected});
     erase_flow(id);
     return false;
   }
@@ -249,8 +244,8 @@ bool VideoFlowPipeline::admit_flow(FlowId id, bool inserted,
   // the whole pending batch before finalizing (resolution only mutates flow
   // *states*, never the table).
   if (flows_[victim].value.classify_pending) classify_pending_flush();
-  if (ring_ && flows_[victim].value.traced)
-    trace_push(obs::TraceEventKind::Evicted, ts_us, flows_[victim]);
+  if (flows_[victim].value.traced)
+    record_instant(flows_[victim], {.kind = obs::SpanKind::Evicted});
   finalize(flows_[victim]);
   erase_flow(victim);
   return true;
@@ -273,10 +268,9 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded,
       state.client_port = decoded.dst_port();
     }
     state.transport = decoded.udp ? Transport::Quic : Transport::Tcp;
-    if (ring_) state.traced = ring_->sampled(hash);
-    if (span_ring_) state.span_traced = span_ring_->sampled(hash);
+    state.traced = span_ring_ && obs_->span_sampled(hash);
   }
-  if (!admit_flow(id, inserted, decoded.timestamp_us)) {
+  if (!admit_flow(id, inserted)) {
     sync_flows_active();
     return;
   }
@@ -293,8 +287,7 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded,
     }
     obs_->flows_total.add(slot_);
     sync_flows_active();
-    if (ring_ && state.traced)
-      trace_push(obs::TraceEventKind::Admitted, decoded.timestamp_us, flow);
+    if (state.traced) record_instant(flow, {.kind = obs::SpanKind::Admitted});
   }
 
   // Telemetry: every packet counts, direction by client address.
@@ -310,7 +303,7 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded,
   // the flow's last recorded span when the packet itself was unsampled
   // upstream (spans sample by flow, so the chain stays within one flow).
   obs::SpanScratch* spans = nullptr;
-  if (span_ring_ && state.span_traced) {
+  if (state.traced) {
     const std::uint64_t pkt_parent = packet_span_parent_;
     packet_span_parent_ = 0;
     span_scratch_.ring = span_ring_;
@@ -404,20 +397,16 @@ void VideoFlowPipeline::apply_prediction(Flows::Record& flow,
       obs_->classified_unknown.add(slot_);
       break;
   }
-  if (ring_ && state.traced) {
-    obs::TraceEvent event;
-    event.ts_us = ts_us;
-    event.flow_hash = flow.hash;
-    event.kind = obs::TraceEventKind::Classified;
-    event.os = prediction.device
-                   ? static_cast<std::uint8_t>(*prediction.device)
-                   : std::uint8_t{0xff};
-    event.agent = prediction.agent
-                      ? static_cast<std::uint8_t>(*prediction.agent)
-                      : std::uint8_t{0xff};
-    event.has_platform = prediction.platform.has_value();
+  if (state.traced) {
+    obs::Span event;
+    event.kind = obs::SpanKind::Classified;
+    if (prediction.device)
+      event.os = static_cast<std::uint8_t>(*prediction.device);
+    if (prediction.agent)
+      event.agent = static_cast<std::uint8_t>(*prediction.agent);
+    event.composite = prediction.platform.has_value();
     event.confidence = static_cast<float>(prediction.platform_confidence);
-    ring_->push(event);
+    record_instant(flow, event);
   }
   // Canary-routed flows stay out of the drift monitor — the stable model's
   // baselines must not be judged on a candidate's outputs — and both routes
@@ -451,7 +440,7 @@ void VideoFlowPipeline::classify_pending_flush() {
         Flows::Record& flow = flows_[pending.flow];
         FlowRecord& state = flow.value;
         state.classify_pending = false;
-        if (span_ring_ && state.span_traced)
+        if (state.traced)
           state.span_last = span_ring_->record(
               obs::SpanKind::Classify, flow.hash, pending.span_parent,
               batch_start_ns, obs::tick_now_ns(), adopted_model_gen_);
@@ -477,8 +466,7 @@ void VideoFlowPipeline::on_volume_sample(const net::FlowKey& key,
 void VideoFlowPipeline::finalize(Flows::Record& flow) {
   FlowRecord& state = flow.value;
   if (!state.video_counted || !state.provider) return;  // not a video flow
-  if (ring_ && state.traced)
-    trace_push(obs::TraceEventKind::Finalized, state.counters.last_us, flow);
+  if (state.traced) record_instant(flow, {.kind = obs::SpanKind::Finalized});
   telemetry::SessionRecord record;
   record.provider = *state.provider;
   record.transport = state.transport;
@@ -496,8 +484,7 @@ void VideoFlowPipeline::finalize(Flows::Record& flow) {
     // front-end it would escape a worker thread and std::terminate the
     // process); the record is lost, the error is counted, the flow table
     // stays consistent.
-    const bool span = span_ring_ && state.span_traced;
-    const std::uint64_t t_sink = span ? obs::tick_now_ns() : 0;
+    const std::uint64_t t_sink = state.traced ? obs::tick_now_ns() : 0;
     try {
       VPSCOPE_FAULTPOINT(fault::Point::SinkEmit);
       obs::ScopedTimer timer(&obs_->profiler, obs::Stage::Sink, slot_);
@@ -505,7 +492,7 @@ void VideoFlowPipeline::finalize(Flows::Record& flow) {
     } catch (...) {
       obs_->sink_errors.add(slot_);
     }
-    if (span)
+    if (state.traced)
       state.span_last = span_ring_->record(
           obs::SpanKind::Sink, flow.hash, state.span_last, t_sink,
           obs::tick_now_ns(), adopted_model_gen_);

@@ -216,19 +216,17 @@ class VideoFlowPipeline {
     /// known not to be a video flow — no later packet is fed.
     std::uint32_t handshake = kNoHandshake;
     fingerprint::Transport transport = fingerprint::Transport::Tcp;
-    /// Deterministic 1-in-N flow-event trace sampling decision.
+    /// The flow's sampling decision (PipelineObs::span_sampled): a traced
+    /// flow records its spans and lifecycle instants (DESIGN.md §5k).
     bool traced = false;
-    /// Causal span sampling decision (DESIGN.md §5k); independent of the
-    /// flow-event trace above.
-    bool span_traced = false;
     /// Staged in the deferred-classification batch, descent not yet run.
     bool classify_pending = false;
     /// This flow's classification was served by the canary bank.
     bool canary_routed = false;
     bool video_counted = false;
     std::optional<fingerprint::Provider> provider;
-    /// Most recent span recorded for this flow — the parent the next stage
-    /// (or the final Sink span) chains from.
+    /// Most recent span recorded for this flow — the parent the next stage,
+    /// the final Sink span and every lifecycle instant chain from.
     std::uint64_t span_last = 0;
     std::optional<PlatformPrediction> prediction;
     std::string sni;
@@ -247,18 +245,19 @@ class VideoFlowPipeline {
   /// worth it), compacts the flow slab and the handshake slots so a burst
   /// does not keep its memory. Renumbers every flow: nothing may be staged.
   void compact_after_drain();
-  /// Outcome counters, trace event, drift feed, state.prediction store —
-  /// shared tail of the inline and deferred classification paths.
+  /// Outcome counters, Classified instant, drift feed, state.prediction
+  /// store — shared tail of the inline and deferred classification paths.
   void apply_prediction(Flows::Record& flow,
                         const PlatformPrediction& prediction,
                         std::uint64_t ts_us);
   /// Admission control after insert: touches the LRU and, when the table
   /// exceeds max_flows, evicts the longest-idle flow (or the just-admitted
   /// one under RejectNew). Returns false when `id` itself was rejected and
-  /// erased. `ts_us` stamps the trace events this may emit.
-  bool admit_flow(FlowId id, bool inserted, std::uint64_t ts_us);
-  void trace_push(obs::TraceEventKind kind, std::uint64_t ts_us,
-                  const Flows::Record& flow);
+  /// erased.
+  bool admit_flow(FlowId id, bool inserted);
+  /// Records a lifecycle instant for a traced flow in this slot's ring,
+  /// parented on the flow's last span. `event` carries kind and detail.
+  void record_instant(const Flows::Record& flow, obs::Span event);
   /// Keeps the vpscope_flows_active gauge in sync after table mutations.
   void sync_flows_active() {
     obs_->flows_active.set(slot_,
@@ -292,7 +291,7 @@ class VideoFlowPipeline {
     /// Staged flows are never erased before the batch resolves (every
     /// erase path flushes it first), so the id stays valid.
     FlowId flow = Flows::kNone;
-    std::uint64_t ts_us = 0;  // staging time, stamps the trace event
+    std::uint64_t ts_us = 0;  // staging time, fed to the drift monitor
     /// Parent for the flow's deferred Classify span (its Encode span id).
     std::uint64_t span_parent = 0;
   };
@@ -307,7 +306,6 @@ class VideoFlowPipeline {
   /// re-points obs_ at its shared bundle via bind_obs().
   std::shared_ptr<obs::PipelineObs> owned_obs_;
   obs::PipelineObs* obs_ = nullptr;
-  obs::TraceRing* ring_ = nullptr;      // cached obs_->ring(slot_)
   obs::SpanRing* span_ring_ = nullptr;  // cached obs_->span_ring(slot_)
   /// Reused per-packet span context for sampled flows (one flow is
   /// processed at a time on this pipeline's thread).

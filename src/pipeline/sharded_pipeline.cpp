@@ -169,11 +169,6 @@ void ShardedPipeline::set_stuck_callback(
   stuck_callback_ = std::move(callback);
 }
 
-void ShardedPipeline::set_stuck_dump_sink(
-    std::function<void(int shard, std::string dump)> sink) {
-  stuck_dump_sink_ = std::move(sink);
-}
-
 void ShardedPipeline::set_flight_recorder(obs::FlightRecorder* recorder) {
   flight_recorder_ = recorder;
 }
@@ -241,17 +236,9 @@ bool ShardedPipeline::watchdog_check(Shard& shard) {
   // the capture loop. The backlog becomes `stranded` until recovery.
   shard.bypassed.store(true, std::memory_order_release);
   obs_->shards_bypassed.add(obs_->dispatcher_slot(), 1);
-  if (auto* ring = obs_->ring(shard.index)) {
-    // Shard-level event, pushed unconditionally (not flow-sampled).
-    obs::TraceEvent event;
-    event.ts_us = now;
-    event.kind = obs::TraceEventKind::Stranded;
-    ring->push(event);
-  }
+  record_shard_instant(obs::SpanKind::Stranded, shard.index);
   // Post-mortem before the callback, so the dump reflects the moment of
   // the flip (the callback may mutate the world).
-  if (stuck_dump_sink_)
-    stuck_dump_sink_(shard.index, obs_->dump_shard(shard.index));
   if (flight_recorder_) {
     char detail[32];
     std::snprintf(detail, sizeof(detail), "shard_%d", shard.index);
@@ -273,18 +260,32 @@ void ShardedPipeline::count_drop(AdmissionClass cls) {
                                       std::memory_order_release);
 }
 
-void ShardedPipeline::shed_staged(Shard& shard, Item& item) {
+void ShardedPipeline::record_shard_instant(obs::SpanKind kind, int shard) {
+  obs::SpanRing* ring = obs_->span_ring(obs_->dispatcher_slot());
+  if (!ring) return;
+  obs::Span event;
+  event.kind = kind;
+  event.detail = static_cast<std::uint32_t>(shard);
+  ring->record_instant(event);
+}
+
+// obs::append_span_detail names a Shed instant's class by these values.
+static_assert(static_cast<int>(AdmissionClass::Handshake) == 0 &&
+              static_cast<int>(AdmissionClass::Payload) == 1);
+
+void ShardedPipeline::shed_staged(Item& item) {
   // The admission class is only evaluated here, at the moment a drop has to
   // be attributed — never on the Block-mode fast path.
   const AdmissionClass cls = eval_admission_class(item.decoded);
   count_drop(cls);
-  if (auto* ring = obs_->ring(shard.index); ring && ring->sampled(item.hash)) {
-    obs::TraceEvent event;
-    event.ts_us = item.decoded.timestamp_us;
+  // A sampled flow's packet carries its Dispatch span id (0 otherwise).
+  if (item.span_parent != 0) {
+    obs::Span event;
+    event.kind = obs::SpanKind::Shed;
     event.flow_hash = item.hash;
-    event.kind = obs::TraceEventKind::Shed;
-    event.outcome = static_cast<std::uint8_t>(cls);
-    ring->push(event);
+    event.parent_id = item.span_parent;
+    event.detail = static_cast<std::uint32_t>(cls);
+    obs_->span_ring(obs_->dispatcher_slot())->record_instant(event);
   }
   item = Item{};  // release the packet buffer
 }
@@ -360,12 +361,12 @@ void ShardedPipeline::flush_shard(Shard& shard) {
         obs_->packets_enqueued.add(shard.index, 1, std::memory_order_release);
         continue;
       }
-      if (bypassed) break;       // remainder shed below
-      shed_staged(shard, item);  // grace expired
+      if (bypassed) break;  // remainder shed below
+      shed_staged(item);    // grace expired
     }
   }
   // Bypassed shard (on entry or flipped mid-flush): shed the remainder.
-  for (; done < n; ++done) shed_staged(shard, shard.staged[done]);
+  for (; done < n; ++done) shed_staged(shard.staged[done]);
   shard.staged.clear();
 }
 
@@ -629,12 +630,7 @@ int ShardedPipeline::reactivate_recovered_shards() {
     shard->watchdog_last_processed =
         shard->processed.load(std::memory_order_relaxed);
     obs_->shards_bypassed.add(obs_->dispatcher_slot(), -1);
-    if (auto* ring = obs_->ring(shard->index)) {
-      obs::TraceEvent event;
-      event.ts_us = steady_now_us();
-      event.kind = obs::TraceEventKind::Recovered;
-      ring->push(event);
-    }
+    record_shard_instant(obs::SpanKind::Recovered, shard->index);
     ++recovered;
   }
   return recovered;

@@ -176,19 +176,14 @@ class ShardedPipeline {
       std::vector<std::function<void(telemetry::SessionRecord)>> sinks);
 
   /// Called on the dispatcher thread when the watchdog flips a shard into
-  /// bypass. Set before the first packet.
+  /// bypass, after the flight recorder's postmortem is written. Set before
+  /// the first packet.
   void set_stuck_callback(std::function<void(int shard)> callback);
 
-  /// Receives the post-mortem of a shard the watchdog just bypassed: a
-  /// JSON document with the shard's trace ring and a full registry
-  /// snapshot (obs::PipelineObs::dump_shard). Called on the dispatcher
-  /// thread, before the stuck callback. Set before the first packet.
-  void set_stuck_dump_sink(std::function<void(int shard, std::string dump)> sink);
-
   /// Attaches the crash flight recorder (DESIGN.md §5k): a watchdog trip
-  /// dumps a whole-process postmortem ("watchdog_stuck_shard") after the
-  /// per-shard dump sink runs, and a lifecycle canary rollback observed by
-  /// the dispatcher's amortized poll dumps "canary_rollback". The recorder
+  /// dumps a whole-process postmortem ("watchdog_stuck_shard") before the
+  /// stuck callback runs, and a lifecycle canary rollback observed by the
+  /// dispatcher's amortized poll dumps "canary_rollback". The recorder
   /// must outlive the pipeline. Set before the first packet.
   void set_flight_recorder(obs::FlightRecorder* recorder);
 
@@ -268,7 +263,7 @@ class ShardedPipeline {
     return obs_->dispatcher_contract_violations.total();
   }
 
-  /// The shared metrics bundle (registry, stage profiler, trace rings).
+  /// The shared metrics bundle (registry, stage profiler, span rings).
   obs::PipelineObs& observability() { return *obs_; }
   const obs::PipelineObs& observability() const { return *obs_; }
 
@@ -361,8 +356,9 @@ class ShardedPipeline {
   void flush_shard(Shard& shard);
   /// Flushes every shard's staging (control broadcast / drain / teardown).
   void flush_staged();
-  /// Drops one staged packet: lazy admission class, drop counter, trace.
-  void shed_staged(Shard& shard, Item& item);
+  /// Drops one staged packet: lazy admission class, drop counter, and a
+  /// Shed instant for a sampled flow.
+  void shed_staged(Item& item);
   AdmissionClass eval_admission_class(const net::DecodedPacket& decoded) {
     ++admission_class_evals_;
     return admission_class(decoded);
@@ -374,6 +370,9 @@ class ShardedPipeline {
   /// true when the shard was just declared stuck and flipped to bypass.
   bool watchdog_check(Shard& shard);
   void count_drop(AdmissionClass cls);
+  /// Records a shard-level instant (Stranded/Recovered) naming `shard` in
+  /// the dispatcher's span ring, whenever spans are on.
+  void record_shard_instant(obs::SpanKind kind, int shard);
   bool quiescent(const Shard& shard) const;
   void check_dispatcher_thread();
   /// Amortized exporter tick from the dispatcher packet path.
@@ -394,7 +393,6 @@ class ShardedPipeline {
   std::shared_ptr<obs::PipelineObs> obs_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::function<void(int)> stuck_callback_;
-  std::function<void(int, std::string)> stuck_dump_sink_;
   obs::FlightRecorder* flight_recorder_ = nullptr;
   /// tick_now_ns() of the last mark_capture_start(); 0 = none pending.
   /// Dispatcher-thread-only.

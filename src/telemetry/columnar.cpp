@@ -129,20 +129,6 @@ double SessionStore::watch_hours(const Query& query) const {
   return seconds / 3600.0;
 }
 
-double SessionStore::watch_hours(
-    const std::function<bool(const SessionRecord&)>& filter) const {
-  double seconds = 0.0;
-  for_each_segment(
-      CompiledQuery(Query{}),
-      [this, &filter, &seconds](const ColumnsView& v) {
-        for (std::size_t i = 0; i < v.rows; ++i) {
-          const SessionRecord r = materialize_row(v, i, sni_of(v.sni[i]));
-          if (filter(r)) seconds += r.counters.duration_s();
-        }
-      });
-  return seconds / 3600.0;
-}
-
 std::vector<double> SessionStore::bandwidth_mbps(const Query& query) const {
   const CompiledQuery q(query);
   std::vector<double> out;
@@ -156,21 +142,6 @@ std::vector<double> SessionStore::bandwidth_mbps(const Query& query) const {
   return out;
 }
 
-std::vector<double> SessionStore::bandwidth_mbps(
-    const std::function<bool(const SessionRecord&)>& filter) const {
-  std::vector<double> out;
-  for_each_segment(
-      CompiledQuery(Query{}), [this, &filter, &out](const ColumnsView& v) {
-        for (std::size_t i = 0; i < v.rows; ++i) {
-          const SessionRecord r = materialize_row(v, i, sni_of(v.sni[i]));
-          if (!filter(r)) continue;
-          const double mbps = r.counters.mean_downstream_mbps();
-          if (mbps > 0) out.push_back(mbps);
-        }
-      });
-  return out;
-}
-
 std::array<double, 24> SessionStore::hourly_volume_gb(
     const Query& query) const {
   const CompiledQuery q(query);
@@ -181,22 +152,6 @@ std::array<double, 24> SessionStore::hourly_volume_gb(
         accumulate_hourly_volume_gb(out, v.first_us[i], v.last_us[i],
                                     v.bytes_down[i]);
   });
-  return out;
-}
-
-std::array<double, 24> SessionStore::hourly_volume_gb(
-    const std::function<bool(const SessionRecord&)>& filter) const {
-  std::array<double, 24> out{};
-  for_each_segment(
-      CompiledQuery(Query{}), [this, &filter, &out](const ColumnsView& v) {
-        for (std::size_t i = 0; i < v.rows; ++i) {
-          const SessionRecord r = materialize_row(v, i, sni_of(v.sni[i]));
-          if (filter(r))
-            accumulate_hourly_volume_gb(out, r.counters.first_us,
-                                        r.counters.last_us,
-                                        r.counters.bytes_down);
-        }
-      });
   return out;
 }
 

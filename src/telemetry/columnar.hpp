@@ -74,16 +74,10 @@ class SessionStore {
   std::vector<SessionRecord> records() const;
 
   double watch_hours(const Query& query) const;
-  double watch_hours(
-      const std::function<bool(const SessionRecord&)>& filter) const;
 
   std::vector<double> bandwidth_mbps(const Query& query) const;
-  std::vector<double> bandwidth_mbps(
-      const std::function<bool(const SessionRecord&)>& filter) const;
 
   std::array<double, 24> hourly_volume_gb(const Query& query) const;
-  std::array<double, 24> hourly_volume_gb(
-      const std::function<bool(const SessionRecord&)>& filter) const;
 
   double unknown_fraction() const;
 

@@ -14,14 +14,6 @@ double FlatSessionStore::watch_hours(const Query& query) const {
   return seconds / 3600.0;
 }
 
-double FlatSessionStore::watch_hours(
-    const std::function<bool(const SessionRecord&)>& filter) const {
-  double seconds = 0.0;
-  for (const auto& r : records_)
-    if (filter(r)) seconds += r.counters.duration_s();
-  return seconds / 3600.0;
-}
-
 std::vector<double> FlatSessionStore::bandwidth_mbps(
     const Query& query) const {
   std::vector<double> out;
@@ -33,32 +25,11 @@ std::vector<double> FlatSessionStore::bandwidth_mbps(
   return out;
 }
 
-std::vector<double> FlatSessionStore::bandwidth_mbps(
-    const std::function<bool(const SessionRecord&)>& filter) const {
-  std::vector<double> out;
-  for (const auto& r : records_) {
-    if (!filter(r)) continue;
-    const double mbps = r.counters.mean_downstream_mbps();
-    if (mbps > 0) out.push_back(mbps);
-  }
-  return out;
-}
-
 std::array<double, 24> FlatSessionStore::hourly_volume_gb(
     const Query& query) const {
   std::array<double, 24> out{};
   for (const auto& r : records_)
     if (query.matches(r))
-      accumulate_hourly_volume_gb(out, r.counters.first_us, r.counters.last_us,
-                                  r.counters.bytes_down);
-  return out;
-}
-
-std::array<double, 24> FlatSessionStore::hourly_volume_gb(
-    const std::function<bool(const SessionRecord&)>& filter) const {
-  std::array<double, 24> out{};
-  for (const auto& r : records_)
-    if (filter(r))
       accumulate_hourly_volume_gb(out, r.counters.first_us, r.counters.last_us,
                                   r.counters.bytes_down);
   return out;

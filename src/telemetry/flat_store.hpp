@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "telemetry/query.hpp"
@@ -26,20 +25,14 @@ class FlatSessionStore {
 
   /// Sum of watch time (hours) over records matching the filter.
   double watch_hours(const Query& query) const;
-  double watch_hours(
-      const std::function<bool(const SessionRecord&)>& filter) const;
 
   /// Downstream bandwidth sample (Mbit/s) per matching record, for box
   /// plots. Zero-duration records are skipped.
   std::vector<double> bandwidth_mbps(const Query& query) const;
-  std::vector<double> bandwidth_mbps(
-      const std::function<bool(const SessionRecord&)>& filter) const;
 
   /// Total downstream volume (GB) per hour-of-day [0, 24) over matching
   /// records, pro-rated across the hours each flow spans (record.hpp).
   std::array<double, 24> hourly_volume_gb(const Query& query) const;
-  std::array<double, 24> hourly_volume_gb(
-      const std::function<bool(const SessionRecord&)>& filter) const;
 
   /// Fraction of records classified as Unknown (paper: ~20% of campus
   /// sessions were excluded for low confidence).

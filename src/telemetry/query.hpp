@@ -1,12 +1,11 @@
 // Typed, composable session-store predicates (DESIGN.md §5h). The Fig. 7-11
 // aggregations all filter on the same handful of dimensions — provider,
 // classification outcome, device OS / device type, software agent, start
-// time — which a `std::function<bool(const SessionRecord&)>` hides from the
-// store. Expressing the filter as data instead lets the columnar store
-// (a) test rows straight from the POD columns without materializing a
+// time — which a `std::function<bool(const SessionRecord&)>` would hide
+// from the store. Expressing the filter as data instead lets the columnar
+// store (a) test rows straight from the POD columns without materializing a
 // SessionRecord, and (b) consult per-segment zone maps to skip segments
-// that cannot contain a match. The std::function overloads remain on every
-// store for arbitrary predicates (and seed-era call sites).
+// that cannot contain a match. It is the stores' one query path.
 #pragma once
 
 #include <cstdint>

@@ -152,19 +152,14 @@ TEST(CampusSimulator, EndToEndRunProducesCoherentStore) {
   EXPECT_LT(store.unknown_fraction(), 0.40);
 
   // Watch time exists and YouTube dominates it (Fig. 7).
-  const double yt = store.watch_hours([](const telemetry::SessionRecord& r) {
-    return r.provider == Provider::YouTube;
-  });
-  for (Provider p : {Provider::Netflix, Provider::Disney, Provider::Amazon}) {
-    EXPECT_GT(yt, store.watch_hours([p](const telemetry::SessionRecord& r) {
-      return r.provider == p;
-    }));
-  }
+  const double yt =
+      store.watch_hours(telemetry::Query().provider(Provider::YouTube));
+  for (Provider p : {Provider::Netflix, Provider::Disney, Provider::Amazon})
+    EXPECT_GT(yt, store.watch_hours(telemetry::Query().provider(p)));
 
   // Volume accounting flowed through the decimated samples.
   double total_gb = 0;
-  for (const auto& hourly : store.hourly_volume_gb(
-           [](const telemetry::SessionRecord&) { return true; }))
+  for (const auto& hourly : store.hourly_volume_gb(telemetry::Query()))
     total_gb += hourly;
   EXPECT_GT(total_gb, 1.0);
 }

@@ -354,67 +354,13 @@ TEST_F(FaultInjectionTest, WatchdogBypassesStuckShardThenRecovers) {
   EXPECT_GT(store.size(), 0u);
 }
 
-// The watchdog post-mortem (DESIGN.md §5f): when a shard is declared
-// stuck, the dispatcher hands the dump sink a JSON document carrying the
-// shard's trace ring and a full registry snapshot — before the stuck
-// callback, so an operator hook sees the evidence first.
-TEST_F(FaultInjectionTest, WatchdogDumpFiresAndIsParseable) {
-  const auto packets = interleaved_mix(40);
-  fault::Scoped scoped(fault::Point::WorkerItem,
-                       {.action = fault::Plan::Action::Stall,
-                        .start = 0,
-                        .period = 0,
-                        .limit = 1,
-                        .stall_ms = 800});
-  ShardedPipelineOptions opt;
-  opt.n_shards = 2;
-  opt.queue_capacity = 8;
-  opt.stuck_timeout_us = 20'000;
-  opt.obs.trace_sample_n = 1;  // trace every flow into the post-mortem
-  ShardedPipeline sharded(bank_, opt);
-  telemetry::SynchronizedSessionStore store;
-  sharded.set_sink(store.sink());
-
-  std::vector<int> stuck_shards;
-  std::vector<std::pair<int, std::string>> dumps;
-  sharded.set_stuck_dump_sink([&](int shard, std::string dump) {
-    EXPECT_TRUE(stuck_shards.empty())
-        << "dump sink must run before the stuck callback";
-    dumps.emplace_back(shard, std::move(dump));
-  });
-  sharded.set_stuck_callback([&](int shard) { stuck_shards.push_back(shard); });
-
-  for (const auto& p : packets) sharded.on_packet(p);
-
-  ASSERT_EQ(stuck_shards.size(), 1u);
-  ASSERT_EQ(dumps.size(), 1u) << "one bypass, one post-mortem";
-  EXPECT_EQ(dumps[0].first, stuck_shards[0]);
-
-  const std::string& dump = dumps[0].second;
-  EXPECT_TRUE(obs::json_valid(dump)) << dump;
-  // The wedged shard's window must carry the watchdog's own Stranded event
-  // and the registry snapshot with the identity counters mid-bypass.
-  // (The stall hits the worker's FIRST item, so the wedged shard's ring
-  // holds no flow-lifecycle events yet — only the watchdog's marker.)
-  EXPECT_NE(dump.find("\"event\":\"stranded\""), std::string::npos);
-  EXPECT_NE(dump.find("\"vpscope_packets_total\""), std::string::npos);
-  EXPECT_NE(dump.find("\"vpscope_packets_stranded\""), std::string::npos);
-
-  // Let the stalled worker recover so teardown is orderly.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (sharded.reactivate_recovered_shards() == 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  sharded.flush_all();
-  expect_identity(sharded.stats(), "after dump + recovery");
-}
-
 // The flight recorder as the watchdog's black box (DESIGN.md §5k): a
-// stuck-shard trip must atomically write a timestamped postmortem whose
-// JSON parses and whose embedded registry snapshot carries the
-// drop-accounting identity — mid-bypass the accounted packets never exceed
-// the total, and a quiescent follow-up dump balances exactly.
+// stuck-shard trip must atomically write a timestamped postmortem — before
+// the stuck callback, so an operator hook sees the evidence first — whose
+// JSON parses, holds the watchdog's stranded instant naming the wedged
+// shard, and renders the registry once with the drop-accounting identity:
+// mid-bypass the accounted packets never exceed the total, and a quiescent
+// follow-up dump balances exactly. Recovery leaves a recovered instant.
 TEST_F(FaultInjectionTest, WatchdogTripWritesFlightRecorderPostmortem) {
   const auto packets = interleaved_mix(40);
   fault::Scoped scoped(fault::Point::WorkerItem,
@@ -427,8 +373,7 @@ TEST_F(FaultInjectionTest, WatchdogTripWritesFlightRecorderPostmortem) {
   opt.n_shards = 2;
   opt.queue_capacity = 8;
   opt.stuck_timeout_us = 20'000;
-  opt.obs.trace_sample_n = 1;
-  opt.obs.span_sample_n = 1;  // the postmortem carries causal spans too
+  opt.obs.span_sample_n = 1;  // the postmortem carries every flow's spans
   ShardedPipeline sharded(bank_, opt);
   sharded.set_sink([](telemetry::SessionRecord) {});
 
@@ -439,10 +384,17 @@ TEST_F(FaultInjectionTest, WatchdogTripWritesFlightRecorderPostmortem) {
   recorder_options.dir = dir;
   obs::FlightRecorder recorder(&sharded.observability(), recorder_options);
   sharded.set_flight_recorder(&recorder);
+  std::vector<int> stuck_shards;
+  sharded.set_stuck_callback([&](int shard) {
+    EXPECT_EQ(recorder.dumps_written(), 1u)
+        << "the postmortem is written before the stuck callback";
+    stuck_shards.push_back(shard);
+  });
 
   for (const auto& p : packets) sharded.on_packet(p);
 
   // The trip dumped exactly once, to a parseable timestamped file.
+  ASSERT_EQ(stuck_shards.size(), 1u);
   ASSERT_EQ(recorder.dumps_written(), 1u);
   const std::string path = recorder.last_path();
   ASSERT_FALSE(path.empty());
@@ -454,9 +406,26 @@ TEST_F(FaultInjectionTest, WatchdogTripWritesFlightRecorderPostmortem) {
   EXPECT_TRUE(obs::json_valid(doc));
   EXPECT_NE(doc.find("\"reason\":\"watchdog_stuck_shard\""),
             std::string::npos);
-  EXPECT_NE(doc.find("\"detail\":\"shard_"), std::string::npos);
+  EXPECT_NE(doc.find("\"detail\":\"shard_" + std::to_string(stuck_shards[0])),
+            std::string::npos);
   EXPECT_NE(doc.find("\"spans\":["), std::string::npos);
-  EXPECT_NE(doc.find("\"shards\":["), std::string::npos);
+  // The watchdog's own stranded instant names the wedged shard. (The stall
+  // hits the worker's first item, so that shard has no flow instants yet.)
+  const auto instant_of = [](const std::string& document,
+                             const std::string& kind) {
+    const std::size_t pos = document.find("{\"kind\":\"" + kind + "\"");
+    return pos == std::string::npos
+               ? std::string{}
+               : document.substr(pos, document.find('}', pos) - pos + 1);
+  };
+  const std::string shard_detail =
+      "\"shard\":" + std::to_string(stuck_shards[0]) + "}";
+  EXPECT_NE(instant_of(doc, "stranded").find(shard_detail), std::string::npos)
+      << instant_of(doc, "stranded");
+  // One registry render, under "metrics".
+  const std::size_t first_total = doc.find("\"vpscope_packets_total\"");
+  EXPECT_EQ(doc.find("\"vpscope_packets_total\"", first_total + 1),
+            std::string::npos);
 
   // Parse-and-identity on the embedded registry snapshot. Mid-bypass the
   // dispatcher holds an in-flight packet, so accounted <= total (never >).
@@ -503,6 +472,9 @@ TEST_F(FaultInjectionTest, WatchdogTripWritesFlightRecorderPostmortem) {
   const std::uint64_t total = total_of(doc2, "vpscope_packets_total");
   EXPECT_EQ(total, packets.size());
   EXPECT_EQ(total, accounted_of(doc2));
+  EXPECT_NE(instant_of(doc2, "recovered").find(shard_detail),
+            std::string::npos)
+      << "reactivate_recovered_shards names the shard it re-admitted";
   expect_identity(sharded.stats(), "after postmortem + recovery");
   std::remove(quiescent_path.c_str());
   ::rmdir(dir.c_str());

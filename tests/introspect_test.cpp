@@ -1,6 +1,7 @@
 // Live introspection plane suite (ctest -L introspect; DESIGN.md §5k):
-// causal span rings and parent chaining, the Chrome trace_event exporter's
-// golden key set, the ISSUE-10 acceptance scenario (one sampled flow's
+// causal span rings and parent chaining, the one flow-sampling decision,
+// the Chrome trace_event exporter's golden key set (spans and lifecycle
+// instants), the span acceptance scenario (one sampled flow's
 // spans crossing >= 2 shards and a mid-run model swap without perturbing
 // classification), the embedded scrape server's loopback endpoints and
 // threat-model rejections (431/408/405/404/400), a 50k-mutant sweep over
@@ -56,8 +57,8 @@ using fingerprint::Transport;
 // ---------------------------------------------------------------------------
 
 TEST(SpanRing, IdsAreSlotTaggedAndUnique) {
-  SpanRing ring3(8, 1, 3);
-  SpanRing ring7(8, 1, 7);
+  SpanRing ring3(8, 3);
+  SpanRing ring7(8, 7);
   std::set<std::uint64_t> ids;
   for (int i = 0; i < 8; ++i) {
     ids.insert(ring3.record(SpanKind::Parse, 42, 0, 100, 200, 0));
@@ -73,7 +74,7 @@ TEST(SpanRing, IdsAreSlotTaggedAndUnique) {
 }
 
 TEST(SpanRing, OverwritesOldestAtCapacity) {
-  SpanRing ring(4, 1, 0);
+  SpanRing ring(4, 0);
   for (std::uint64_t i = 0; i < 10; ++i)
     ring.record(SpanKind::Extract, i, 0, i * 100, i * 100 + 50, 0);
   const std::vector<Span> spans = ring.drain_copy();
@@ -83,17 +84,28 @@ TEST(SpanRing, OverwritesOldestAtCapacity) {
     EXPECT_EQ(spans[i].flow_hash, 6 + i);
 }
 
+// PipelineObs::span_sampled is the one sampling decision: a pure function
+// of (flow hash, N), so two bundles with the same N agree on every flow —
+// the property that makes two runs over the same traffic trace the same
+// flows.
 TEST(SpanRing, SamplingIsDeterministicOneInN) {
-  SpanRing ring(4, 4, 0);
-  for (std::uint64_t hash = 0; hash < 64; ++hash)
-    EXPECT_EQ(ring.sampled(hash), hash % 4 == 0) << hash;
-  SpanRing off(4, 0, 0);
-  EXPECT_FALSE(off.enabled());
-  EXPECT_FALSE(off.sampled(0));
+  ObsConfig config;
+  config.span_sample_n = 4;
+  const PipelineObs quarter(2, config);
+  const PipelineObs quarter2(2, config);
+  config.span_sample_n = 1;
+  const PipelineObs every(2, config);
+  for (std::uint64_t hash = 0; hash < 1000; ++hash) {
+    EXPECT_EQ(quarter.span_sampled(hash), hash % 4 == 0) << hash;
+    EXPECT_EQ(quarter.span_sampled(hash), quarter2.span_sampled(hash));
+    EXPECT_TRUE(every.span_sampled(hash));
+  }
+  const PipelineObs off(2, {});
+  EXPECT_FALSE(off.span_sampled(0));
 }
 
 TEST(SpanScope, ChainsParentLinksAcrossSequentialScopes) {
-  SpanRing ring(16, 1, 2);
+  SpanRing ring(16, 2);
   SpanScratch scratch;
   scratch.ring = &ring;
   scratch.flow_hash = 99;
@@ -170,6 +182,67 @@ TEST(ChromeTrace, GoldenRequiredKeys) {
        pos != std::string::npos; pos = json.find("\"name\":\"flow\"", pos + 1))
     ++roots;
   EXPECT_EQ(roots, 2u) << "one synthesized root per flow hash";
+
+  // One instant of each lifecycle kind: a thread-scoped "i" event with no
+  // dur, its detail in args.
+  std::vector<Span> with_instants = {extract, classify, other};
+  const std::pair<SpanKind, std::string> instants[] = {
+      {SpanKind::Admitted, ""},
+      {SpanKind::Rejected, ""},
+      {SpanKind::Evicted, ""},
+      {SpanKind::Shed, "\"class\":\"payload\""},
+      {SpanKind::Classified,
+       "\"os\":\"iOS\",\"agent\":\"Safari\",\"composite\":true,"
+       "\"confidence\":0.7500"},
+      {SpanKind::Finalized, ""},
+      {SpanKind::Stranded, "\"shard\":3"},
+      {SpanKind::Recovered, "\"shard\":3"},
+  };
+  std::uint64_t seq = 10;
+  for (const auto& [kind, detail] : instants) {
+    Span event;
+    event.span_id = (std::uint64_t{1} << 40) | ++seq;
+    event.parent_id = extract.span_id;
+    event.flow_hash = 42;
+    event.start_ns = 1'010'000 + seq;
+    event.kind = kind;
+    if (kind == SpanKind::Shed) event.detail = 1;  // AdmissionClass::Payload
+    if (kind == SpanKind::Classified) {
+      event.os = static_cast<std::uint8_t>(fingerprint::Os::IOS);
+      event.agent = static_cast<std::uint8_t>(fingerprint::Agent::Safari);
+      event.composite = true;
+      event.confidence = 0.75f;
+    }
+    if (kind == SpanKind::Stranded || kind == SpanKind::Recovered) {
+      event.flow_hash = 0;  // shard-level
+      event.parent_id = 0;
+      event.detail = 3;
+    }
+    with_instants.push_back(event);
+  }
+  const std::string instant_json = chrome_trace_json(with_instants);
+  EXPECT_TRUE(json_valid(instant_json)) << instant_json;
+  for (const auto& [kind, detail] : instants) {
+    const std::string name =
+        "{\"name\":\"" + std::string(span_kind_name(kind)) + "\"";
+    const std::size_t pos = instant_json.find(name);
+    ASSERT_NE(pos, std::string::npos) << name;
+    const std::string event =
+        instant_json.substr(pos, instant_json.find("}}", pos) - pos);
+    EXPECT_NE(event.find("\"ph\":\"i\",\"s\":\"t\""), std::string::npos)
+        << event;
+    EXPECT_EQ(event.find("\"dur\""), std::string::npos) << event;
+    EXPECT_NE(event.find("\"args\":{\"flow\":"), std::string::npos) << event;
+    if (!detail.empty())
+      EXPECT_NE(event.find(detail), std::string::npos) << event;
+  }
+  // The shard-level instants belong to no flow: still two roots.
+  roots = 0;
+  for (std::size_t pos = instant_json.find("\"name\":\"flow\"");
+       pos != std::string::npos;
+       pos = instant_json.find("\"name\":\"flow\"", pos + 1))
+    ++roots;
+  EXPECT_EQ(roots, 2u);
 }
 
 TEST(ChromeTrace, EmptySpanSetIsStillValidJson) {
@@ -639,11 +712,13 @@ TEST_F(IntrospectTest, EndpointsServeLoadedShardedRun) {
   EXPECT_NE(snapshot.body.find("\"vpscope_packets_total\""),
             std::string::npos);
 
-  // /trace: Chrome trace JSON of the sampled spans.
+  // /trace: Chrome trace JSON of the sampled spans, the flows' lifecycle
+  // instants among them (flush_all just finalized every flow).
   const HttpReply trace = http_get(server.port(), "/trace?n=64");
   ASSERT_EQ(trace.status, 200);
   EXPECT_TRUE(json_valid(trace.body));
   EXPECT_NE(trace.body.find("\"traceEvents\":["), std::string::npos);
+  EXPECT_NE(trace.body.find("\"ph\":\"i\""), std::string::npos);
 
   // Threat-model rejections.
   EXPECT_EQ(http_get(server.port(), "/nope").status, 404);
@@ -786,7 +861,6 @@ TEST_F(IntrospectTest, PerfCountersFallBackGracefullyWithoutPerfAccess) {
 TEST_F(IntrospectTest, FlightRecorderRendersAndDumpsParseablePostmortem) {
   ObsConfig config;
   config.span_sample_n = 1;
-  config.trace_sample_n = 1;
   pipeline::VideoFlowPipeline pipe(bank_a_.get(), {}, config);
   pipe.set_sink([](telemetry::SessionRecord) {});
   for (const auto& packet : interleaved_mix(3, 17)) pipe.on_packet(packet);
@@ -803,10 +877,14 @@ TEST_F(IntrospectTest, FlightRecorderRendersAndDumpsParseablePostmortem) {
   EXPECT_TRUE(json_valid(doc)) << doc;
   for (const char* key :
        {"\"reason\":\"unit_test\"", "\"detail\":\"detail-42\"",
-        "\"wall_ms\":", "\"spans\":[", "\"kind\":\"sink\"", "\"shards\":[",
-        "\"metrics\":", "\"vpscope_packets_total\"",
-        "\"context\":{\"front_end\":\"unit\"}"})
+        "\"wall_ms\":", "\"spans\":[", "\"kind\":\"sink\"",
+        "\"kind\":\"admitted\"", "\"kind\":\"classified\"",
+        "\"confidence\":", "\"kind\":\"finalized\"", "\"metrics\":",
+        "\"vpscope_packets_total\"", "\"context\":{\"front_end\":\"unit\"}"})
     EXPECT_NE(doc.find(key), std::string::npos) << key;
+  // The registry is rendered once, under "metrics".
+  const std::size_t first = doc.find("\"vpscope_packets_total\"");
+  EXPECT_EQ(doc.find("\"vpscope_packets_total\"", first + 1), std::string::npos);
 
   const std::string path = recorder.dump("unit_test");
   ASSERT_FALSE(path.empty());

@@ -1,6 +1,7 @@
 // vpscope::obs unit + integration suite (DESIGN.md §5f): histogram bucket
-// math and merge correctness, per-slot counter concurrency, trace-ring
-// sampling determinism, golden exposition output, and the ISSUE-5
+// math and merge correctness, per-slot counter concurrency, golden
+// exposition output, deterministic flow-lifecycle instants (admitted,
+// rejected, evicted, shed, classified, finalized), and the scrape
 // acceptance scenario — a loaded 8-shard pipeline whose Prometheus scrape
 // alone must prove the drop-accounting identity and expose per-stage
 // latency quantiles.
@@ -9,6 +10,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -258,48 +261,6 @@ TEST(StageTimers, DisabledProfilerRecordsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace ring
-// ---------------------------------------------------------------------------
-
-TEST(TraceRingTest, SamplingIsDeterministicInFlowHash) {
-  const TraceRing off(64, 0);
-  EXPECT_FALSE(off.enabled());
-  EXPECT_FALSE(off.sampled(0));
-
-  const TraceRing every(64, 1);
-  const TraceRing quarter(64, 4);
-  for (std::uint64_t h = 0; h < 1000; ++h) {
-    EXPECT_TRUE(every.sampled(h));
-    EXPECT_EQ(quarter.sampled(h), h % 4 == 0);
-  }
-  // The decision is a pure function of (hash, N): a second ring with the
-  // same N agrees on every flow — the property that makes two runs over
-  // the same traffic produce identical traces.
-  const TraceRing quarter2(64, 4);
-  for (std::uint64_t h = 0; h < 1000; ++h)
-    EXPECT_EQ(quarter.sampled(h), quarter2.sampled(h));
-}
-
-TEST(TraceRingTest, BoundedOverwriteKeepsNewestWindowInOrder) {
-  TraceRing ring(8, 1);
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    TraceEvent e;
-    e.ts_us = i;
-    e.flow_hash = i * 100;
-    e.kind = TraceEventKind::Admitted;
-    ring.push(e);
-  }
-  EXPECT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.total_pushed(), 20u);
-  const std::vector<TraceEvent> events = ring.drain_copy();
-  ASSERT_EQ(events.size(), 8u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].ts_us, 12 + i) << "oldest-first window of the tail";
-    EXPECT_EQ(events[i].flow_hash, (12 + i) * 100);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Exposition: golden output
 // ---------------------------------------------------------------------------
 
@@ -424,36 +385,6 @@ TEST(Exposition, PeriodicExporterHonoursInterval) {
   EXPECT_NE(content.find("t_total 5\n"), std::string::npos);
 }
 
-TEST(PipelineObsTest, DumpShardIsParseableJson) {
-  ObsConfig config;
-  config.trace_sample_n = 1;
-  config.trace_ring_capacity = 16;
-  PipelineObs obs(2, config);
-  obs.packets_total.add(0, 10);
-  TraceEvent admitted;
-  admitted.ts_us = 5;
-  admitted.flow_hash = 42;
-  admitted.kind = TraceEventKind::Admitted;
-  obs.ring(0)->push(admitted);
-  TraceEvent classified;
-  classified.ts_us = 9;
-  classified.flow_hash = 42;
-  classified.kind = TraceEventKind::Classified;
-  classified.os = 0;
-  classified.agent = 0;
-  classified.has_platform = true;
-  classified.confidence = 0.75f;
-  obs.ring(0)->push(classified);
-
-  const std::string dump = obs.dump_shard(0);
-  EXPECT_TRUE(json_valid(dump)) << dump;
-  EXPECT_NE(dump.find("\"event\":\"admitted\""), std::string::npos);
-  EXPECT_NE(dump.find("\"event\":\"classified\""), std::string::npos);
-  EXPECT_NE(dump.find("\"vpscope_packets_total\""), std::string::npos);
-  // Shard 1's ring is empty but the dump is still a valid document.
-  EXPECT_TRUE(json_valid(obs.dump_shard(1)));
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline integration: the scrape as the single source of truth
 // ---------------------------------------------------------------------------
@@ -473,6 +404,14 @@ std::uint64_t scrape_value(const std::string& text, const std::string& series) {
 
 bool scrape_has(const std::string& text, const std::string& series) {
   return ("\n" + text).find("\n" + series + " ") != std::string::npos;
+}
+
+/// A ring's lifecycle instants, oldest first.
+std::vector<Span> instants_of(const SpanRing& ring) {
+  std::vector<Span> out;
+  for (const Span& s : ring.drain_copy())
+    if (is_instant(s.kind)) out.push_back(s);
+  return out;
 }
 
 class ObsPipelineTest : public ::testing::Test {
@@ -502,20 +441,20 @@ TEST_F(ObsPipelineTest, StandaloneScrapeMatchesStatsAndTracesDeterministically) 
   traffic_config.flood_flows = 0;
   const auto traffic = campus::make_overload_traffic(traffic_config);
 
-  auto run = [&](std::vector<TraceEvent>& events_out) {
+  auto run = [&](std::vector<Span>& events_out) {
     ObsConfig config;
     config.profile_stages = true;
-    config.trace_sample_n = 2;
+    config.span_sample_n = 2;
     pipeline::VideoFlowPipeline pipe(bank_, {}, config);
     pipe.set_sink([](telemetry::SessionRecord) {});
     for (const auto& packet : traffic.packets) pipe.on_packet(packet);
     pipe.flush_all();
-    events_out = pipe.observability().ring(0)->drain_copy();
+    events_out = instants_of(*pipe.observability().span_ring(0));
     return std::make_pair(pipe.stats(),
                           prometheus_text(pipe.observability().registry()));
   };
 
-  std::vector<TraceEvent> events_a;
+  std::vector<Span> events_a;
   const auto [stats, scrape] = run(events_a);
 
   EXPECT_EQ(scrape_value(scrape, "vpscope_packets_total"),
@@ -530,28 +469,116 @@ TEST_F(ObsPipelineTest, StandaloneScrapeMatchesStatsAndTracesDeterministically) 
       << "flush_all empties the table";
 
   // A 1-in-2 sampled trace saw roughly half the flows, fully: every sampled
-  // flow has its Admitted event, classified video flows their Classified
+  // flow has its Admitted instant, classified video flows their Classified
   // and Finalized ones.
   std::uint64_t admitted = 0, classified = 0, finalized = 0;
-  for (const TraceEvent& e : events_a) {
+  for (const Span& e : events_a) {
     EXPECT_EQ(e.flow_hash % 2, 0u) << "only sampled flows may appear";
-    admitted += e.kind == TraceEventKind::Admitted;
-    classified += e.kind == TraceEventKind::Classified;
-    finalized += e.kind == TraceEventKind::Finalized;
+    EXPECT_EQ(e.dur_ns, 0u) << span_kind_name(e.kind);
+    admitted += e.kind == SpanKind::Admitted;
+    classified += e.kind == SpanKind::Classified;
+    finalized += e.kind == SpanKind::Finalized;
   }
   EXPECT_GT(admitted, 0u);
   EXPECT_GT(classified, 0u);
   EXPECT_EQ(admitted, finalized) << "every sampled flow ends through the sink";
 
-  // Determinism: the same traffic yields the identical event sequence.
-  std::vector<TraceEvent> events_b;
+  // Determinism: the same traffic yields the identical (kind, flow, detail)
+  // sequence; only the tick timestamps differ between runs.
+  std::vector<Span> events_b;
   run(events_b);
   ASSERT_EQ(events_a.size(), events_b.size());
   for (std::size_t i = 0; i < events_a.size(); ++i) {
     EXPECT_EQ(events_a[i].kind, events_b[i].kind) << i;
     EXPECT_EQ(events_a[i].flow_hash, events_b[i].flow_hash) << i;
-    EXPECT_EQ(events_a[i].ts_us, events_b[i].ts_us) << i;
+    EXPECT_EQ(events_a[i].os, events_b[i].os) << i;
+    EXPECT_EQ(events_a[i].agent, events_b[i].agent) << i;
+    EXPECT_EQ(events_a[i].composite, events_b[i].composite) << i;
+    EXPECT_EQ(events_a[i].confidence, events_b[i].confidence) << i;
+    EXPECT_EQ(events_a[i].detail, events_b[i].detail) << i;
   }
+}
+
+// RejectNew at capacity: the legit flows fill the table first and never
+// leave it, so every flood SYN after them is refused. Each refusal is one
+// Rejected instant (a flood flow sends one SYN), and a refused flow never
+// shows an Admitted one.
+TEST_F(ObsPipelineTest, RejectNewRecordsRejectedInstantsWithoutAdmission) {
+  campus::OverloadConfig traffic_config;
+  traffic_config.legit_flows = 4;
+  traffic_config.flood_flows = 200;
+  const auto traffic = campus::make_overload_traffic(traffic_config);
+
+  pipeline::PipelineOptions options;
+  options.max_flows = 16;
+  options.eviction = pipeline::PipelineOptions::Eviction::RejectNew;
+  ObsConfig config;
+  config.span_sample_n = 1;
+  config.span_ring_capacity = std::size_t{1} << 16;
+  pipeline::VideoFlowPipeline pipe(bank_, options, config);
+  pipe.set_sink([](telemetry::SessionRecord) {});
+  for (const auto& packet : traffic.packets) pipe.on_packet(packet);
+  const pipeline::PipelineStats stats = pipe.stats();
+
+  std::map<std::uint64_t, int> rejected, admitted;
+  for (const Span& e : instants_of(*pipe.observability().span_ring(0))) {
+    if (e.kind == SpanKind::Rejected) ++rejected[e.flow_hash];
+    if (e.kind == SpanKind::Admitted) ++admitted[e.flow_hash];
+  }
+  ASSERT_GT(stats.flows_evicted_capacity, 0u);
+  std::uint64_t refusals = 0;
+  for (const auto& [flow, count] : rejected) {
+    EXPECT_EQ(count, 1) << "flow " << flow;
+    EXPECT_EQ(admitted.count(flow), 0u) << "refused flow " << flow;
+    refusals += static_cast<std::uint64_t>(count);
+  }
+  EXPECT_EQ(refusals, stats.flows_evicted_capacity);
+  EXPECT_EQ(admitted.size(), options.max_flows);
+}
+
+// LruIdle at capacity: flood SYNs push each finished legit flow to the LRU
+// front, so video flows leave by eviction. A sampled victim's Evicted
+// instant precedes its Finalized one (it leaves through the normal sink
+// path), both parented on the flow's last span.
+TEST_F(ObsPipelineTest, LruEvictionRecordsEvictedBeforeFinalized) {
+  campus::OverloadConfig traffic_config;
+  traffic_config.legit_flows = 6;
+  traffic_config.flood_flows = 300;
+  traffic_config.flood_packets_per_legit_flow = 40;
+  const auto traffic = campus::make_overload_traffic(traffic_config);
+
+  pipeline::PipelineOptions options;
+  options.max_flows = 16;
+  options.eviction = pipeline::PipelineOptions::Eviction::LruIdle;
+  ObsConfig config;
+  config.span_sample_n = 1;
+  config.span_ring_capacity = std::size_t{1} << 16;
+  pipeline::VideoFlowPipeline pipe(bank_, options, config);
+  pipe.set_sink([](telemetry::SessionRecord) {});
+  for (const auto& packet : traffic.packets) pipe.on_packet(packet);
+  pipe.flush_all();
+
+  const std::vector<Span> spans =
+      pipe.observability().span_ring(0)->drain_copy();
+  std::set<std::uint64_t> ids;
+  for (const Span& s : spans) ids.insert(s.span_id);
+  std::map<std::uint64_t, std::size_t> first_evicted, first_finalized;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& e = spans[i];
+    if (e.kind == SpanKind::Evicted) {
+      first_evicted.emplace(e.flow_hash, i);
+      EXPECT_TRUE(ids.count(e.parent_id)) << "evicted instant's parent";
+    }
+    if (e.kind == SpanKind::Finalized) first_finalized.emplace(e.flow_hash, i);
+  }
+  std::size_t evicted_video = 0;
+  for (const auto& [flow, evicted_at] : first_evicted) {
+    const auto finalized = first_finalized.find(flow);
+    if (finalized == first_finalized.end()) continue;  // not a video flow
+    EXPECT_LT(evicted_at, finalized->second) << "flow " << flow;
+    ++evicted_video;
+  }
+  EXPECT_GT(evicted_video, 0u) << "a video flow must leave by eviction";
 }
 
 // The ISSUE-5 acceptance scenario: an 8-shard pipeline under a shedding
@@ -573,7 +600,9 @@ TEST_F(ObsPipelineTest, ShardedScrapeProvesIdentityAndStageLatencies) {
   options.payload_grace_us = 0;
   options.handshake_grace_us = 0;
   options.obs.profile_stages = true;
-  options.obs.trace_sample_n = 8;
+  // Coprime with the 8 shards, so sampled flows land on every shard, the
+  // stalled one included.
+  options.obs.span_sample_n = 3;
   pipeline::ShardedPipeline sharded(bank_, options);
   sharded.set_sink([](telemetry::SessionRecord) {});
   {
@@ -624,6 +653,33 @@ TEST_F(ObsPipelineTest, ShardedScrapeProvesIdentityAndStageLatencies) {
             stats.flows_evicted_capacity);
   EXPECT_GT(stats.flows_evicted_capacity, 0u)
       << "the flood must hit the flow-table bound";
+
+  // Shed instants sit in the dispatcher's own ring, only for sampled flows,
+  // each parented on its packet's Dispatch span and naming its class.
+  const PipelineObs& o = sharded.observability();
+  const SpanRing& dispatcher = *o.span_ring(o.dispatcher_slot());
+  std::vector<Span> shed;
+  for (const Span& e : instants_of(dispatcher)) {
+    if (e.kind != SpanKind::Shed) continue;
+    shed.push_back(e);
+    EXPECT_EQ(e.flow_hash % 3, 0u) << "only sampled flows may appear";
+    EXPECT_NE(e.parent_id, 0u) << "parented on the Dispatch span";
+    EXPECT_TRUE(
+        e.detail ==
+            static_cast<std::uint32_t>(pipeline::AdmissionClass::Handshake) ||
+        e.detail ==
+            static_cast<std::uint32_t>(pipeline::AdmissionClass::Payload))
+        << e.detail;
+  }
+  EXPECT_GT(shed.size(), 0u) << "the stalled shard sheds sampled flows";
+  EXPECT_LE(shed.size(), dropped_payload + dropped_handshake);
+  const std::string shed_json = chrome_trace_json(shed);
+  std::size_t named = 0;
+  for (const char* cls : {"\"class\":\"handshake\"", "\"class\":\"payload\""})
+    for (std::size_t pos = shed_json.find(cls); pos != std::string::npos;
+         pos = shed_json.find(cls, pos + 1))
+      ++named;
+  EXPECT_EQ(named, shed.size());
 
   // Every remaining identity/accounting series is exposed.
   for (const char* series :

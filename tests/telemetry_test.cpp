@@ -66,14 +66,9 @@ TEST(SessionStore, WatchHoursFilters) {
                            1800, 2.0));
   store.insert(make_record(Provider::Netflix, Os::Windows, Agent::Chrome,
                            7200, 2.0));
-  EXPECT_NEAR(store.watch_hours([](const SessionRecord& r) {
-    return r.provider == Provider::YouTube;
-  }),
-              1.5, 1e-9);
-  EXPECT_NEAR(store.watch_hours([](const SessionRecord& r) {
-    return r.device == Os::Windows;
-  }),
-              3.0, 1e-9);
+  EXPECT_NEAR(store.watch_hours(Query().provider(Provider::YouTube)), 1.5,
+              1e-9);
+  EXPECT_NEAR(store.watch_hours(Query().device(Os::Windows)), 3.0, 1e-9);
 }
 
 TEST(SessionStore, BandwidthSamplesSkipZeroDuration) {
@@ -84,9 +79,7 @@ TEST(SessionStore, BandwidthSamplesSkipZeroDuration) {
   degenerate.provider = Provider::Amazon;
   degenerate.counters.add_down(0, 100);  // single packet, zero duration
   store.insert(degenerate);
-  const auto samples = store.bandwidth_mbps([](const SessionRecord& r) {
-    return r.provider == Provider::Amazon;
-  });
+  const auto samples = store.bandwidth_mbps(Query().provider(Provider::Amazon));
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_NEAR(samples[0], 5.7, 0.01);
 }
@@ -97,8 +90,7 @@ TEST(SessionStore, HourlyVolumeBucketsByStartHour) {
   const std::uint64_t start = (24 + 20) * 3600ULL * 1'000'000ULL;
   store.insert(make_record(Provider::Netflix, Os::Windows, Agent::Chrome,
                            1200, 4.0, start));
-  const auto hourly =
-      store.hourly_volume_gb([](const SessionRecord&) { return true; });
+  const auto hourly = store.hourly_volume_gb(Query());
   for (int h = 0; h < 24; ++h) {
     if (h == 20)
       EXPECT_GT(hourly[static_cast<std::size_t>(h)], 0.0);
@@ -161,14 +153,14 @@ TEST(HourlyVolume, WrapsAcrossMidnightAndDegeneratesAtZeroDuration) {
 TEST(SessionStore, HourlyVolumeProRatedThroughStoreScans) {
   // The store-level shape: one 20:00-23:00 session must no longer inflate
   // the 20h bucket with its entire volume (the seed behaviour this PR
-  // replaces), on both the typed-query and lambda scan paths.
+  // replaces), on the unfiltered and the provider-filtered scan alike.
   SessionStore store;
   const std::uint64_t start = (24 + 20) * 3600ULL * 1'000'000ULL;
   store.insert(make_record(Provider::Netflix, Os::Windows, Agent::Chrome,
                            3 * 3600, 4.0, start));
   const auto typed = store.hourly_volume_gb(Query());
-  const auto lambda =
-      store.hourly_volume_gb([](const SessionRecord&) { return true; });
+  const auto filtered =
+      store.hourly_volume_gb(Query().provider(Provider::Netflix));
   const double total = typed[20] + typed[21] + typed[22];
   EXPECT_GT(typed[20], 0.0);
   EXPECT_DOUBLE_EQ(typed[20], typed[21]);
@@ -176,7 +168,7 @@ TEST(SessionStore, HourlyVolumeProRatedThroughStoreScans) {
   EXPECT_NE(typed[20], total);  // not the seed-era start-hour lump
   for (int h = 0; h < 24; ++h)
     EXPECT_DOUBLE_EQ(typed[static_cast<std::size_t>(h)],
-                     lambda[static_cast<std::size_t>(h)]);
+                     filtered[static_cast<std::size_t>(h)]);
 }
 
 TEST(SessionStore, UnknownFraction) {
@@ -213,10 +205,8 @@ TEST(FlowCounters, IdleUsSafeNearUint64Max) {
 TEST(SessionStore, EmptyStoreSafeDefaults) {
   SessionStore store;
   EXPECT_DOUBLE_EQ(store.unknown_fraction(), 0.0);
-  EXPECT_DOUBLE_EQ(
-      store.watch_hours([](const SessionRecord&) { return true; }), 0.0);
-  EXPECT_TRUE(
-      store.bandwidth_mbps([](const SessionRecord&) { return true; }).empty());
+  EXPECT_DOUBLE_EQ(store.watch_hours(Query()), 0.0);
+  EXPECT_TRUE(store.bandwidth_mbps(Query()).empty());
 }
 
 }  // namespace
