@@ -2,17 +2,20 @@
 // capture travels the pcap reader -> L2 shim -> pipeline path, measured at
 // three depths — the reader alone (parse + frame views, no decode), a
 // single-threaded replay into VideoFlowPipeline against the direct
-// in-memory feed (the exporter/reader round-trip overhead), and the full
-// sharded matrix at 1/2/4/8 shards x batch 1/32/128. Mpps and offered
-// wire-rate Gbps per row, written to BENCH_capture.json so successive PRs
-// accumulate a machine-readable trajectory. Rows where the run had fewer
-// usable cores than shards carry scaling_valid=false (the PR-6 affinity
-// flag): they measure time-slicing, not parallel speedup.
+// in-memory feed (their gap is the pcap round trip per packet), and the
+// full sharded matrix at 1/2/4/8 shards x batch 1/32/128. Every lane is
+// timed over interleaved windows of >= 1 s of whole passes; the median and
+// quartiles of the windows' Mpps and offered wire-rate Gbps go to
+// BENCH_capture.json with the machine block (bench/common.hpp). A row
+// keeps its workers and the feeding dispatcher busy; rows with fewer
+// usable cores than that carry scaling_valid=false: they measure
+// time-slicing, not parallel speedup.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <limits>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -63,169 +66,176 @@ std::vector<net::Packet> make_packet_mix(int flows) {
   return packets;
 }
 
-struct ReaderResult {
-  std::uint64_t frames = 0;
+constexpr int kWindows = 5;
+constexpr double kWindowSeconds = 1.0;
+
+/// One timed pass over the capture: what it carried, how long it took
+/// (construction outside the clock, the final flush inside), and the
+/// records it produced.
+struct Pass {
+  std::uint64_t packets = 0;
   std::uint64_t wire_bytes = 0;
-  double elapsed_s = 0;
-  double mpps = 0;
-  double gbps = 0;
+  double seconds = 0;
+  std::size_t records = 0;
 };
+
+/// A measured path: passes are grouped into windows of at least
+/// kWindowSeconds of timed work, and each window contributes one rate.
+struct Lane {
+  Lane(std::string name, std::function<Pass()> pass, int shards = 0,
+       std::size_t batch_size = 0)
+      : name(std::move(name)),
+        pass(std::move(pass)),
+        shards(shards),
+        batch_size(batch_size) {}
+
+  std::string name;
+  std::function<Pass()> pass;
+  int shards = 0;  // shard-matrix rows only
+  std::size_t batch_size = 0;
+  std::vector<double> mpps, gbps;  // one entry per window
+  std::size_t records = 0;
+};
+
+void run_window(Lane& lane) {
+  Pass window;
+  while (window.seconds < kWindowSeconds) {
+    const Pass p = lane.pass();
+    window.packets += p.packets;
+    window.wire_bytes += p.wire_bytes;
+    window.seconds += p.seconds;
+    lane.records = p.records;
+  }
+  lane.mpps.push_back(static_cast<double>(window.packets) / window.seconds /
+                      1e6);
+  lane.gbps.push_back(static_cast<double>(window.wire_bytes) * 8 /
+                      window.seconds / 1e9);
+}
+
+/// Threads a sharded replay keeps busy: its workers and the dispatcher
+/// that replays the capture into them.
+int busy_threads(int shards) { return shards + 1; }
+
+/// Median and quartiles (linear interpolation) of a sample.
+struct Spread {
+  double median = 0, p25 = 0, p75 = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto q = [&v](double f) {
+    const double pos = f * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {q(0.5), q(0.25), q(0.75)};
+}
 
 /// Reader-only: stream every record out of the image (header validation,
 /// bounds checks, timestamp math, frame views) without decoding. The upper
 /// bound any replay configuration is measured against.
-ReaderResult run_reader_only(ByteView image) {
-  ReaderResult best;
-  best.elapsed_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 5; ++rep) {
-    ReaderResult out;
-    const auto start = std::chrono::steady_clock::now();
-    auto reader = capture::PcapReader::open(image);
-    if (reader) {
-      while (const auto rec = reader->next()) {
-        ++out.frames;
-        out.wire_bytes += rec->orig_len;
-        benchmark::DoNotOptimize(rec->bytes.data());
-      }
+Pass reader_pass(ByteView image) {
+  Pass out;
+  const auto start = std::chrono::steady_clock::now();
+  auto reader = capture::PcapReader::open(image);
+  if (reader) {
+    while (const auto rec = reader->next()) {
+      ++out.packets;
+      out.wire_bytes += rec->orig_len;
+      benchmark::DoNotOptimize(rec->bytes.data());
     }
-    out.elapsed_s = seconds_since(start);
-    if (out.elapsed_s < best.elapsed_s) best = out;
   }
-  best.mpps = static_cast<double>(best.frames) / best.elapsed_s / 1e6;
-  best.gbps = static_cast<double>(best.wire_bytes) * 8 / best.elapsed_s / 1e9;
-  return best;
+  out.seconds = seconds_since(start);
+  return out;
 }
-
-struct FeedResult {
-  double elapsed_s = 0;
-  double mpps = 0;
-  double gbps = 0;
-  std::size_t records = 0;
-};
 
 /// Direct in-memory feed: the packets the capture was exported from, pushed
-/// straight into the single-threaded pipeline. The delta to replay_single
-/// is the full cost of the pcap round-trip (parse + L2 strip + copy).
-FeedResult run_direct_feed(const std::vector<net::Packet>& packets) {
-  std::uint64_t bytes = 0;
-  for (const auto& p : packets) bytes += p.data.size();
-  FeedResult best;
-  best.elapsed_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    FeedResult out;
-    pipeline::VideoFlowPipeline pipe(&bench::campus_bank());
-    std::size_t records = 0;
-    pipe.set_sink([&records](telemetry::SessionRecord) { ++records; });
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& packet : packets) pipe.on_packet(packet);
-    pipe.flush_all();
-    out.elapsed_s = seconds_since(start);
-    out.records = records;
-    if (out.elapsed_s < best.elapsed_s) best = out;
-  }
-  best.mpps = static_cast<double>(packets.size()) / best.elapsed_s / 1e6;
+/// straight into the single-threaded pipeline. The gap to replay_single is
+/// the cost of the pcap round trip (record parse, L2 strip, copy).
+Pass direct_pass(const std::vector<net::Packet>& packets) {
+  pipeline::VideoFlowPipeline pipe(&bench::campus_bank());
+  Pass out;
+  pipe.set_sink([&out](telemetry::SessionRecord) { ++out.records; });
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& packet : packets) pipe.on_packet(packet);
+  pipe.flush_all();
+  out.seconds = seconds_since(start);
+  out.packets = packets.size();
   // Direct feed carries no L2 framing; wire bytes are the IP datagrams.
-  best.gbps = static_cast<double>(bytes) * 8 / best.elapsed_s / 1e9;
-  return best;
+  for (const auto& p : packets) out.wire_bytes += p.data.size();
+  return out;
 }
 
-FeedResult run_replay_single(ByteView image) {
-  FeedResult best;
-  best.elapsed_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    pipeline::VideoFlowPipeline pipe(&bench::campus_bank());
-    std::size_t records = 0;
-    pipe.set_sink([&records](telemetry::SessionRecord) { ++records; });
-    const auto stats = capture::replay_into(image, pipe);
-    if (stats.wall_seconds < best.elapsed_s) {
-      best.elapsed_s = stats.wall_seconds;
-      best.mpps = stats.mpps();
-      best.gbps = stats.gbps();
-      best.records = records;
-    }
-  }
-  return best;
-}
-
-struct ShardReplayResult {
-  int shards = 0;
-  std::size_t batch_size = 0;
-  double elapsed_s = 0;
-  double mpps = 0;
-  double gbps = 0;
-  std::size_t records = 0;
-  double speedup_vs_1 = 0;
-  /// False when the run had fewer usable cores than shards (PR-6 flag).
-  bool scaling_valid = true;
-};
-
-ShardReplayResult run_sharded_replay_once(ByteView image, int shards,
-                                          std::size_t batch_size) {
-  ShardReplayResult out;
-  out.shards = shards;
-  out.batch_size = batch_size;
-  out.scaling_valid = bench::usable_cores() >= shards;
-  pipeline::ShardedPipeline pipe(&bench::campus_bank(),
-                                 {.n_shards = shards,
-                                  .queue_capacity = 4096,
-                                  .batch_size = batch_size});
+/// Replay into either front-end, timed from the first frame through
+/// replay_into's final flush_all (and, sharded, the worker drain).
+template <typename Pipeline>
+Pass replay_pass(ByteView image, Pipeline& pipe) {
   std::atomic<std::size_t> records{0};
   pipe.set_sink([&records](telemetry::SessionRecord) {
     records.fetch_add(1, std::memory_order_relaxed);
   });
+  const auto start = std::chrono::steady_clock::now();
   const auto stats = capture::replay_into(image, pipe);
-  // replay_into's flush_all (worker drain) is inside wall_seconds only up
-  // to the replay return; time the whole ingest for honesty.
-  out.elapsed_s = stats.wall_seconds;
-  out.mpps = stats.mpps();
-  out.gbps = stats.gbps();
+  Pass out;
+  out.seconds = seconds_since(start);
+  out.packets = stats.frames;
+  out.wire_bytes = stats.wire_bytes;
   out.records = records.load(std::memory_order_relaxed);
   return out;
 }
 
-ShardReplayResult run_sharded_replay(ByteView image, int shards,
-                                     std::size_t batch_size) {
-  auto best = run_sharded_replay_once(image, shards, batch_size);
-  for (int rep = 1; rep < 3; ++rep) {
-    const auto r = run_sharded_replay_once(image, shards, batch_size);
-    if (r.elapsed_s < best.elapsed_s) best = r;
-  }
-  return best;
-}
-
 void write_json(std::uint64_t frames, std::uint64_t image_bytes,
-                const ReaderResult& reader, const FeedResult& direct,
-                const FeedResult& replay,
-                const std::vector<ShardReplayResult>& matrix) {
+                std::uint64_t wire_bytes, const std::vector<Lane>& lanes,
+                const Spread& gap_ns) {
   std::ofstream json("BENCH_capture.json");
   json.precision(6);
   json << "{\n"
-       << "  \"bench\": \"capture_replay\",\n"
-       << "  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n"
-       << "  \"effective_affinity\": " << bench::effective_affinity() << ",\n"
+       << "  \"bench\": \"capture_replay\",\n";
+  // The widest shard-matrix row: 8 workers plus the dispatcher.
+  bench::write_machine_block(json, busy_threads(8));
+  json << "  \"methodology\": \"lanes interleaved per window; a window is "
+          "whole passes adding up to >= "
+       << kWindowSeconds << " s of timed work; rates are the median and "
+          "quartiles over "
+       << kWindows << " windows\",\n"
        << "  \"capture\": {\"frames\": " << frames
        << ", \"pcap_bytes\": " << image_bytes
-       << ", \"wire_bytes\": " << reader.wire_bytes << "},\n"
-       << "  \"reader_only\": {\"mpps\": " << reader.mpps
-       << ", \"gbps\": " << reader.gbps
-       << ", \"elapsed_s\": " << reader.elapsed_s << "},\n"
-       << "  \"direct_feed\": {\"mpps\": " << direct.mpps
-       << ", \"gbps\": " << direct.gbps << ", \"records\": " << direct.records
-       << ", \"elapsed_s\": " << direct.elapsed_s << "},\n"
-       << "  \"replay_single\": {\"mpps\": " << replay.mpps
-       << ", \"gbps\": " << replay.gbps << ", \"records\": " << replay.records
-       << ", \"elapsed_s\": " << replay.elapsed_s << "},\n"
-       << "  \"shard_matrix\": [\n";
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    const auto& s = matrix[i];
-    json << "    {\"shards\": " << s.shards
-         << ", \"batch_size\": " << s.batch_size
-         << ", \"elapsed_s\": " << s.elapsed_s << ", \"mpps\": " << s.mpps
-         << ", \"gbps\": " << s.gbps << ", \"records\": " << s.records
-         << ", \"speedup_vs_1\": " << s.speedup_vs_1
-         << ", \"scaling_valid\": " << (s.scaling_valid ? "true" : "false")
-         << "}" << (i + 1 < matrix.size() ? "," : "") << "\n";
+       << ", \"wire_bytes\": " << wire_bytes << "},\n"
+       << "  \"pcap_roundtrip_ns_per_packet\": {\"median\": " << gap_ns.median
+       << ", \"p25\": " << gap_ns.p25 << ", \"p75\": " << gap_ns.p75
+       << "},\n";
+  const auto row = [&json](const Lane& lane) {
+    const Spread mpps = spread_of(lane.mpps);
+    json << "\"mpps\": " << mpps.median << ", \"mpps_p25\": " << mpps.p25
+         << ", \"mpps_p75\": " << mpps.p75
+         << ", \"gbps\": " << spread_of(lane.gbps).median
+         << ", \"windows\": " << lane.mpps.size()
+         << ", \"records\": " << lane.records;
+  };
+  std::size_t i = 0;
+  for (; i < lanes.size() && lanes[i].shards == 0; ++i) {
+    json << "  \"" << lanes[i].name << "\": {";
+    row(lanes[i]);
+    json << "},\n";
+  }
+  json << "  \"shard_matrix\": [\n";
+  const std::size_t first_row = i;
+  for (; i < lanes.size(); ++i) {
+    const Lane& lane = lanes[i];
+    double speedup = 0;
+    for (std::size_t r = first_row; r < lanes.size(); ++r)
+      if (lanes[r].shards == 1 && lanes[r].batch_size == lane.batch_size)
+        speedup = spread_of(lane.mpps).median /
+                  spread_of(lanes[r].mpps).median;
+    json << "    {\"shards\": " << lane.shards
+         << ", \"batch_size\": " << lane.batch_size << ", ";
+    row(lane);
+    json << ", \"speedup_vs_1\": " << speedup << ", \"scaling_valid\": "
+         << (bench::usable_cores() >= busy_threads(lane.shards) ? "true"
+                                                                 : "false")
+         << "}"
+         << (i + 1 < lanes.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
 }
@@ -236,53 +246,84 @@ void report() {
   const auto packets = make_packet_mix(400);
   const auto image = capture::export_pcap(
       packets, {.link_type = capture::LinkType::Ethernet});
+  const ByteView view(image);
   (void)bench::campus_bank();  // train outside every timed region
 
-  const auto reader = run_reader_only(ByteView(image));
-  const auto direct = run_direct_feed(packets);
-  const auto replay = run_replay_single(ByteView(image));
-
-  TextTable head({"Path", "Mpps", "Gbps", "records"});
-  head.add_row({"pcap reader only", TextTable::num(reader.mpps, 3),
-                TextTable::num(reader.gbps, 2), "-"});
-  head.add_row({"direct in-memory feed", TextTable::num(direct.mpps, 3),
-                TextTable::num(direct.gbps, 2),
-                std::to_string(direct.records)});
-  head.add_row({"pcap replay (1 thread)", TextTable::num(replay.mpps, 3),
-                TextTable::num(replay.gbps, 2),
-                std::to_string(replay.records)});
-  head.print(std::cout);
-  std::cout << "capture: " << packets.size() << " packets, "
-            << image.size() << " pcap bytes, " << reader.wire_bytes
-            << " wire bytes (Ethernet-framed)\n";
-
-  std::vector<ShardReplayResult> matrix;
+  std::vector<Lane> lanes;
+  lanes.emplace_back("reader_only", [view] { return reader_pass(view); });
+  lanes.emplace_back("direct_feed",
+                     [&packets] { return direct_pass(packets); });
+  lanes.emplace_back("replay_single", [view] {
+    pipeline::VideoFlowPipeline pipe(&bench::campus_bank());
+    return replay_pass(view, pipe);
+  });
   for (const int shards : {1, 2, 4, 8})
     for (const std::size_t batch :
          {std::size_t{1}, std::size_t{32}, std::size_t{128}})
-      matrix.push_back(
-          run_sharded_replay(ByteView(image), shards, batch));
-  // Speedup relative to (1 shard, same batch size), as in BENCH_pipeline.
-  for (auto& s : matrix)
-    for (const auto& ref : matrix)
-      if (ref.shards == 1 && ref.batch_size == s.batch_size)
-        s.speedup_vs_1 = ref.elapsed_s / s.elapsed_s;
+      lanes.emplace_back(
+          "sharded",
+          [view, shards, batch] {
+            pipeline::ShardedPipeline pipe(&bench::campus_bank(),
+                                           {.n_shards = shards,
+                                            .queue_capacity = 4096,
+                                            .batch_size = batch});
+            return replay_pass(view, pipe);
+          },
+          shards, batch);
 
-  TextTable shard_table(
-      {"Shards", "batch", "Mpps", "Gbps", "speedup vs 1", "valid"});
-  for (const auto& s : matrix)
-    shard_table.add_row({std::to_string(s.shards),
-                         std::to_string(s.batch_size),
-                         TextTable::num(s.mpps, 3), TextTable::num(s.gbps, 2),
-                         TextTable::num(s.speedup_vs_1, 2) + "x",
-                         s.scaling_valid ? "yes" : "no"});
+  for (Lane& lane : lanes) (void)lane.pass();  // untimed warm-up
+  // Window w of every lane runs before window w + 1 of any, so slow drift
+  // of the machine spreads over all lanes instead of biasing one.
+  for (int w = 0; w < kWindows; ++w)
+    for (Lane& lane : lanes) run_window(lane);
+
+  // The pcap round trip per packet, window by window: replay_single minus
+  // direct_feed in ns/packet (1 / Mpps is µs/packet).
+  std::vector<double> gap;
+  for (int w = 0; w < kWindows; ++w)
+    gap.push_back(1e3 / lanes[2].mpps[static_cast<std::size_t>(w)] -
+                  1e3 / lanes[1].mpps[static_cast<std::size_t>(w)]);
+  const Spread gap_ns = spread_of(gap);
+
+  TextTable head({"Path", "Mpps (median)", "IQR", "Gbps", "records"});
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Spread mpps = spread_of(lanes[i].mpps);
+    head.add_row({lanes[i].name, TextTable::num(mpps.median, 3),
+                  TextTable::num(mpps.p25, 3) + "-" +
+                      TextTable::num(mpps.p75, 3),
+                  TextTable::num(spread_of(lanes[i].gbps).median, 2),
+                  i == 0 ? "-" : std::to_string(lanes[i].records)});
+  }
+  head.print(std::cout);
+  const Pass whole = reader_pass(view);
+  std::cout << "capture: " << packets.size() << " packets, " << image.size()
+            << " pcap bytes, " << whole.wire_bytes
+            << " wire bytes (Ethernet-framed)\n"
+            << "pcap round trip (replay_single - direct_feed): "
+            << TextTable::num(gap_ns.median, 1) << " ns/packet (IQR "
+            << TextTable::num(gap_ns.p25, 1) << "-"
+            << TextTable::num(gap_ns.p75, 1) << ")\n";
+
+  TextTable shard_table({"Shards", "batch", "Mpps (median)", "IQR", "Gbps",
+                         "valid"});
+  for (std::size_t i = 3; i < lanes.size(); ++i) {
+    const Spread mpps = spread_of(lanes[i].mpps);
+    shard_table.add_row(
+        {std::to_string(lanes[i].shards), std::to_string(lanes[i].batch_size),
+         TextTable::num(mpps.median, 3),
+         TextTable::num(mpps.p25, 3) + "-" + TextTable::num(mpps.p75, 3),
+         TextTable::num(spread_of(lanes[i].gbps).median, 2),
+         bench::usable_cores() >= busy_threads(lanes[i].shards) ? "yes"
+                                                                : "no"});
+  }
   shard_table.print(std::cout);
-  std::cout << "hardware threads: " << std::thread::hardware_concurrency()
-            << ", effective affinity: " << bench::effective_affinity()
-            << " (rows with valid=no ran more shards than usable cores:\n"
-               "they measure time-slicing, not parallel speedup)\n";
+  std::cout << "usable cores: " << bench::usable_cores() << " of "
+            << std::thread::hardware_concurrency()
+            << " hardware threads (rows with valid=no ran more workers "
+               "plus dispatcher than usable cores:\nthey measure "
+               "time-slicing, not parallel speedup)\n";
 
-  write_json(reader.frames, image.size(), reader, direct, replay, matrix);
+  write_json(whole.packets, image.size(), whole.wire_bytes, lanes, gap_ns);
   std::cout << "machine-readable results: BENCH_capture.json\n";
 }
 

@@ -217,13 +217,9 @@ void write_json(const std::vector<LaneResult>& lanes) {
        << "  \"shards\": " << kShards << ",\n"
        << "  \"flows\": " << kFlows << ",\n"
        << "  \"packets\": " << bench_packets().size() << ",\n"
-       << "  \"repeats\": " << kRepeats << ",\n"
-       << "  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n"
-       << "  \"usable_cores\": " << bench::usable_cores() << ",\n"
-       << "  \"scaling_valid\": "
-       << (bench::usable_cores() >= kShards ? "true" : "false") << ",\n"
-       << "  \"methodology\": \"lanes interleaved per-repetition; overhead = "
+       << "  \"repeats\": " << kRepeats << ",\n";
+  bench::write_machine_block(json, kShards);
+  json << "  \"methodology\": \"lanes interleaved per-repetition; overhead = "
           "median of per-cycle elapsed ratios vs base\",\n"
        << "  \"target_overhead_pct\": 3.0,\n"
        << "  \"profile_target_overhead_pct\": 5.0,\n"
@@ -334,7 +330,7 @@ void report() {
 // ---- microbenchmarks: the primitive costs ----
 
 void BM_CounterAdd(benchmark::State& state) {
-  // The hot-path unit: one relaxed fetch_add on the caller's own line.
+  // The hot-path unit: a relaxed load and store on the caller's own line.
   obs::Registry registry(8);
   obs::Counter& c = registry.counter("bench_total", "bench");
   for (auto _ : state) c.add(3);

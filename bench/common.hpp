@@ -12,6 +12,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <thread>
 
 #if defined(__linux__)
@@ -107,6 +108,17 @@ inline int effective_affinity() {
 inline int usable_cores() {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   return std::min(hw > 0 ? hw : 1, effective_affinity());
+}
+
+/// The machine block of a BENCH_*.json file: hardware threads, the cores
+/// this process may use, and whether a run that keeps `busy_threads`
+/// threads busy had a core for each (false: it measured time-slicing).
+inline void write_machine_block(std::ostream& json, int busy_threads) {
+  json << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n"
+       << "  \"usable_cores\": " << usable_cores() << ",\n"
+       << "  \"scaling_valid\": "
+       << (usable_cores() >= busy_threads ? "true" : "false") << ",\n";
 }
 
 }  // namespace vpscope::bench

@@ -4,6 +4,13 @@ namespace vpscope::capture {
 
 std::optional<ByteView> ip_datagram_of(ByteView frame, LinkType link_type) {
   if (link_type == LinkType::Raw) return frame;
+  // Untagged IPv4/IPv6, the frame a tap delivers almost always: read the
+  // EtherType in place. Everything else takes the full parse below.
+  if (frame.size() >= net::EthernetHeader::kSize) {
+    const auto type = static_cast<std::uint16_t>(frame[12] << 8 | frame[13]);
+    if (type == net::kEtherTypeIpv4 || type == net::kEtherTypeIpv6)
+      return frame.subspan(net::EthernetHeader::kSize);
+  }
   std::size_t l2_len = 0;
   const auto eth = net::EthernetHeader::parse(frame, &l2_len);
   if (!eth) return std::nullopt;

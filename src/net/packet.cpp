@@ -57,13 +57,22 @@ FlowKey FlowKey::canonical(const IpAddr& src, std::uint16_t sport,
 }
 
 std::size_t FlowKeyHash::operator()(const FlowKey& k) const {
-  std::uint64_t h = splitmix64(k.protocol);
-  for (int i = 0; i < 2; ++i) {
-    h = splitmix64(h ^ be_word(k.addr_a, i));
-    h = splitmix64(h ^ be_word(k.addr_b, i));
-  }
-  h = splitmix64(h ^ (static_cast<std::uint64_t>(k.port_a) << 16 | k.port_b));
-  return static_cast<std::size_t>(h);
+  // Five key words, each multiplied by its own odd constant: a bijection
+  // per word, so keys that differ in one word differ here too. The
+  // products are independent of each other, so they issue in parallel;
+  // rotations place them apart before the XOR, and one SplitMix64 round
+  // finishes the mix. The address words stay in native order, since only
+  // FlowKey::canonical needs byte order.
+  const auto a = k.addr_a.words();
+  const auto b = k.addr_b.words();
+  const std::uint64_t ports = std::uint64_t{k.protocol} << 32 |
+                              std::uint64_t{k.port_a} << 16 | k.port_b;
+  const std::uint64_t h = a[0] * 0x9e3779b185ebca87ULL ^
+                          std::rotl(a[1] * 0xc2b2ae3d27d4eb4fULL, 21) ^
+                          std::rotl(b[0] * 0x165667b19e3779f9ULL, 42) ^
+                          std::rotl(b[1] * 0x85ebca77c2b2ae63ULL, 11) ^
+                          std::rotl(ports * 0x27d4eb2f165667c5ULL, 32);
+  return static_cast<std::size_t>(splitmix64(h));
 }
 
 std::uint16_t DecodedPacket::src_port() const {

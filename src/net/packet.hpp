@@ -37,10 +37,12 @@ struct FlowKey {
   bool operator==(const FlowKey&) const = default;
 };
 
-/// Full-avalanche hash of the canonical key (SplitMix64-finalized), so both
-/// flow-table probing and `hash % n_shards` shard dispatch distribute
-/// evenly even over low-entropy key populations. Its values pick shards,
-/// span samples and canary routes, so they are pinned by tests.
+/// Full-avalanche hash of the canonical key: five words mixed in parallel,
+/// then one SplitMix64 round, so both flow-table probing and
+/// `hash % n_shards` shard dispatch distribute evenly even over low-entropy
+/// key populations. Its values pick shards (low bits), span samples and
+/// canary routes (`hash >> 32`), so they are pinned by tests. Not keyed:
+/// crafted keys can collide (DESIGN.md §5m).
 struct FlowKeyHash {
   std::size_t operator()(const FlowKey& k) const;
 };

@@ -5,11 +5,10 @@
 // table churn, shedding, stage latencies) lives in one Registry that is
 //
 //   * wait-free on the hot path: a metric owns one cache-line-padded slot
-//     per writer (shard workers + the dispatcher); counters record with one
-//     relaxed atomic RMW on the writer's own line, histograms with plain
-//     relaxed load/store updates (the slot is single-writer, so no locked
-//     instruction is needed at all) — no locks, no CAS loops, no sharing
-//     between shards;
+//     per writer (shard workers + the dispatcher); counters and histograms
+//     record with plain relaxed load/store updates on the writer's own
+//     line (the slot is single-writer, so no locked instruction is needed
+//     at all) — no locks, no CAS loops, no sharing between shards;
 //   * merged on scrape: readers sum the slots (and merge histogram buckets)
 //     at exposition time, so scraping never perturbs the data path.
 //
@@ -52,11 +51,32 @@ struct alignas(64) SignedCell {
 
 class Registry;
 
-/// Monotone per-slot counter. `add` is wait-free; `total` sums slots.
+/// Monotone per-slot counter; `total` sums slots.
+///
+/// Contract: each slot has one writer thread, or its writers are ordered
+/// by a lock (ModelLifecycle::sync_obs_locked writes under the lifecycle
+/// mutex). `add` is then a relaxed load plus a store on the writer's own
+/// line — no locked instruction, like Histogram::record. A non-relaxed
+/// `order` makes the store a release store. Readers on other threads may
+/// scrape at any time: they see each slot's value of some recent add,
+/// never a torn or overshooting one. If a caller breaks the dispatcher
+/// contract (ShardedPipeline, DESIGN.md §5f), two threads may race on a
+/// slot and the counts become best-effort; the one counter written from
+/// foreign threads on purpose, `dispatcher_contract_violations`, uses
+/// `add_contended` and stays exact.
 class Counter {
  public:
   void add(int slot, std::uint64_t n = 1,
            std::memory_order order = std::memory_order_relaxed) {
+    std::atomic<std::uint64_t>& v = cells_[static_cast<std::size_t>(slot)].v;
+    v.store(v.load(std::memory_order_relaxed) + n,
+            order == std::memory_order_relaxed ? std::memory_order_relaxed
+                                               : std::memory_order_release);
+  }
+  /// One atomic read-modify-write: exact when several threads write the
+  /// slot. Only for a counter whose writers are not ordered.
+  void add_contended(int slot, std::uint64_t n = 1,
+                     std::memory_order order = std::memory_order_relaxed) {
     cells_[static_cast<std::size_t>(slot)].v.fetch_add(n, order);
   }
   std::uint64_t value(int slot,

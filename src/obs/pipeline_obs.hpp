@@ -89,10 +89,13 @@ class PipelineObs {
   }
   bool spans_enabled() const { return !span_rings_.empty(); }
   /// The one sampling decision for a flow-key hash: a sampled flow gets
-  /// its spans and lifecycle instants, an unsampled one neither.
+  /// its spans and lifecycle instants, an unsampled one neither. It reads
+  /// the high half of the hash: ShardedPipeline routes on the low bits
+  /// (`hash % n_shards`), and the same residue would trace only shard 0
+  /// whenever span_sample_n is a multiple of the shard count.
   bool span_sampled(std::uint64_t flow_hash) const {
     return !span_rings_.empty() &&
-           flow_hash % config_.span_sample_n == 0;
+           (flow_hash >> 32) % config_.span_sample_n == 0;
   }
 
   /// The most recent `max` spans across every slot ring, merged and ordered

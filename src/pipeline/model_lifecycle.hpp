@@ -100,9 +100,11 @@ class ModelLifecycle {
     std::shared_ptr<const ClassifierBank> canary;  // null: no rollout active
     int canary_permille = 0;
 
+    /// High half of the flow hash, like span sampling: the low bits pick
+    /// the shard, so their residue would give shards unequal canary shares.
     bool routes_to_canary(std::uint64_t flow_hash) const {
       return canary != nullptr &&
-             flow_hash % 1000 <
+             (flow_hash >> 32) % 1000 <
                  static_cast<std::uint64_t>(canary_permille);
     }
   };

@@ -204,9 +204,10 @@ void ShardedPipeline::check_dispatcher_thread() {
     return;
   }
   if (dispatcher_thread_hash_.load(std::memory_order_acquire) != self) {
-    // Written from the violating (non-dispatcher) thread; the cell is an
-    // atomic, so cross-thread writes are merely contended, never racy.
-    obs_->dispatcher_contract_violations.add(obs_->dispatcher_slot());
+    // Written from the violating (non-dispatcher) thread, so several
+    // threads may write this slot: the one contended add in the registry.
+    obs_->dispatcher_contract_violations.add_contended(
+        obs_->dispatcher_slot());
 #if !(defined(VPSCOPE_FAULT_INJECTION) && VPSCOPE_FAULT_INJECTION)
     assert(false &&
            "ShardedPipeline: on_packet/flush/stats/active_flows are "

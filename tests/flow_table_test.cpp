@@ -128,16 +128,16 @@ TEST(FlowKeyHash, PinnedValues) {
   };
   const Case cases[] = {
       {IpAddr::v4(10, 0, 0, 1), 51000, IpAddr::v4(142, 250, 0, 1), 443, 6,
-       0x03258bfba72134f9ULL},
+       0x8e48a2bfc1d61cecULL},
       {IpAddr::v4(192, 168, 1, 20), 443, IpAddr::v4(23, 246, 0, 7), 60999, 17,
-       0x5d06724b708381edULL},
+       0x13e944769f8e6d9dULL},
       {IpAddr::v4(0, 0, 0, 0), 0, IpAddr::v4(0, 0, 0, 0), 0, 0,
-       0xcbd37ad29b93b094ULL},
+       0xe220a8397b1dcdafULL},
       {IpAddr::v4(255, 255, 255, 255), 65535, IpAddr::v4(1, 2, 3, 4), 1, 6,
-       0x6e39b5ab32c308a5ULL},
-      {v6a, 443, v6b, 40000, 17, 0x2c308be69e30250fULL},
-      {v6b, 33333, v6c, 443, 6, 0x2146f18d0fc673a8ULL},
-      {v6d, 443, v6e, 50000, 17, 0x14eee6bff17bb91cULL},
+       0x46fb1152f9781444ULL},
+      {v6a, 443, v6b, 40000, 17, 0xfc1d267ddf7d7c6dULL},
+      {v6b, 33333, v6c, 443, 6, 0x2f7b04689d887df8ULL},
+      {v6d, 443, v6e, 50000, 17, 0xb4f74024a60e24aeULL},
   };
   for (const Case& c : cases) {
     const FlowKey forward = FlowKey::canonical(c.a, c.pa, c.b, c.pb, c.proto);

@@ -87,7 +87,7 @@ TEST(SpanRing, OverwritesOldestAtCapacity) {
 // PipelineObs::span_sampled is the one sampling decision: a pure function
 // of (flow hash, N), so two bundles with the same N agree on every flow —
 // the property that makes two runs over the same traffic trace the same
-// flows.
+// flows. It reads the hash's high half; the low bits pick the shard.
 TEST(SpanRing, SamplingIsDeterministicOneInN) {
   ObsConfig config;
   config.span_sample_n = 4;
@@ -95,8 +95,9 @@ TEST(SpanRing, SamplingIsDeterministicOneInN) {
   const PipelineObs quarter2(2, config);
   config.span_sample_n = 1;
   const PipelineObs every(2, config);
-  for (std::uint64_t hash = 0; hash < 1000; ++hash) {
-    EXPECT_EQ(quarter.span_sampled(hash), hash % 4 == 0) << hash;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const std::uint64_t hash = i << 32 | (i * 0x9e3779b9u & 0xffffffffu);
+    EXPECT_EQ(quarter.span_sampled(hash), i % 4 == 0) << hash;
     EXPECT_EQ(quarter.span_sampled(hash), quarter2.span_sampled(hash));
     EXPECT_TRUE(every.span_sampled(hash));
   }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <sstream>
+#include <vector>
 
 #include "net/ip.hpp"
 #include "net/packet.hpp"
@@ -219,6 +222,76 @@ TEST(FlowKeyHash, SingleBitKeyChangesAvalanche) {
   const double mean_flipped = static_cast<double>(total_flipped) / kPairs;
   EXPECT_GT(mean_flipped, 24.0);
   EXPECT_LT(mean_flipped, 40.0);
+}
+
+/// Checks one 65,536-key family that varies a single key field: every key
+/// hashes apart, and `hash % shards` gives each of 3, 4 and 8 shards an
+/// even share within ±5%.
+void expect_family_spreads(const char* family,
+                           FlowKey (*key_of)(std::uint32_t)) {
+  constexpr std::uint32_t kKeys = 65536;
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(kKeys);
+  for (std::uint32_t i = 0; i < kKeys; ++i)
+    hashes.push_back(FlowKeyHash{}(key_of(i)));
+  std::vector<std::uint64_t> sorted = hashes;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << family << ": two keys share a hash";
+  for (const std::uint64_t shards : {3u, 4u, 8u}) {
+    std::vector<int> buckets(shards, 0);
+    for (const std::uint64_t h : hashes) buckets[h % shards]++;
+    const double even = static_cast<double>(kKeys) / shards;
+    for (std::uint64_t b = 0; b < shards; ++b) {
+      EXPECT_GE(buckets[b], even * 0.95)
+          << family << " shards=" << shards << " bucket=" << b;
+      EXPECT_LE(buckets[b], even * 1.05)
+          << family << " shards=" << shards << " bucket=" << b;
+    }
+  }
+}
+
+IpAddr v6(std::array<std::uint8_t, 16> bytes) {
+  IpAddr addr;
+  addr.is_v6 = true;
+  addr.bytes = bytes;
+  return addr;
+}
+
+// Families that vary one field only. The hash multiplies each key word by
+// its own odd constant before one shared finalizer, so a family that moves
+// one word must stay collision-free, and the finalizer must carry the
+// word's entropy into the low bits that pick the shard.
+TEST(FlowKeyHash, OneFieldFamiliesHashApartAndSpreadOverShards) {
+  expect_family_spreads("ipv6 high word", [](std::uint32_t i) {
+    IpAddr client = v6({0x20, 0x01, 0x0d, 0xb8, 0x12, 0x34, 0, 0, 0, 0, 0,
+                        0, 0, 0, 0, 1});
+    client.bytes[6] = static_cast<std::uint8_t>(i >> 8);
+    client.bytes[7] = static_cast<std::uint8_t>(i);
+    const IpAddr server = v6({0x26, 0x07, 0xf8, 0xb0, 0, 0, 0, 0, 0, 0, 0,
+                              0, 0, 0, 0x20, 0x0e});
+    return FlowKey::canonical(client, 50000, server, 443, kProtoUdp);
+  });
+  expect_family_spreads("ipv6 low word", [](std::uint32_t i) {
+    IpAddr client = v6({0x20, 0x01, 0x0d, 0xb8, 0x12, 0x34, 0, 0, 0, 0, 0,
+                        0, 0, 0, 0, 0});
+    client.bytes[14] = static_cast<std::uint8_t>(i >> 8);
+    client.bytes[15] = static_cast<std::uint8_t>(i);
+    const IpAddr server = v6({0x26, 0x07, 0xf8, 0xb0, 0, 0, 0, 0, 0, 0, 0,
+                              0, 0, 0, 0x20, 0x0e});
+    return FlowKey::canonical(client, 50000, server, 443, kProtoUdp);
+  });
+  expect_family_spreads("ipv4 address", [](std::uint32_t i) {
+    const IpAddr client = IpAddr::v4(10, 7, static_cast<std::uint8_t>(i >> 8),
+                                     static_cast<std::uint8_t>(i));
+    return FlowKey::canonical(client, 50000, IpAddr::v4(142, 250, 70, 78),
+                              443, kProtoTcp);
+  });
+  expect_family_spreads("client port", [](std::uint32_t i) {
+    return FlowKey::canonical(IpAddr::v4(10, 7, 0, 1),
+                              static_cast<std::uint16_t>(i),
+                              IpAddr::v4(142, 250, 70, 78), 443, kProtoTcp);
+  });
 }
 
 TEST(Decode, TcpPacketEndToEnd) {

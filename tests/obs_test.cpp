@@ -210,15 +210,15 @@ TEST(Counters, SingleWriterSlotsStayExactUnderAConcurrentScraper) {
 }
 
 TEST(Counters, ContendedAddFromFourThreadsOnOneSlotIsExact) {
-  // Counter::add is one atomic read-modify-write, so it stays exact when
-  // several threads write one slot, as foreign threads do on purpose with
-  // the dispatcher's contract-violation counter.
+  // Counter::add_contended is one atomic read-modify-write, so it stays
+  // exact when several threads write one slot, as foreign threads do on
+  // purpose with the dispatcher's contract-violation counter.
   Registry registry(2);
   Counter& c = registry.counter("t_total", "t");
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)
     threads.emplace_back([&] {
-      for (int i = 0; i < 250000; ++i) c.add(1);
+      for (int i = 0; i < 250000; ++i) c.add_contended(1);
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(1), 1'000'000u);
@@ -473,7 +473,8 @@ TEST_F(ObsPipelineTest, StandaloneScrapeMatchesStatsAndTracesDeterministically) 
   // and Finalized ones.
   std::uint64_t admitted = 0, classified = 0, finalized = 0;
   for (const Span& e : events_a) {
-    EXPECT_EQ(e.flow_hash % 2, 0u) << "only sampled flows may appear";
+    EXPECT_EQ((e.flow_hash >> 32) % 2, 0u)
+        << "only sampled flows may appear";
     EXPECT_EQ(e.dur_ns, 0u) << span_kind_name(e.kind);
     admitted += e.kind == SpanKind::Admitted;
     classified += e.kind == SpanKind::Classified;
@@ -662,7 +663,8 @@ TEST_F(ObsPipelineTest, ShardedScrapeProvesIdentityAndStageLatencies) {
   for (const Span& e : instants_of(dispatcher)) {
     if (e.kind != SpanKind::Shed) continue;
     shed.push_back(e);
-    EXPECT_EQ(e.flow_hash % 3, 0u) << "only sampled flows may appear";
+    EXPECT_EQ((e.flow_hash >> 32) % 3, 0u)
+        << "only sampled flows may appear";
     EXPECT_NE(e.parent_id, 0u) << "parented on the Dispatch span";
     EXPECT_TRUE(
         e.detail ==

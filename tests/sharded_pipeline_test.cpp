@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "campus/overload.hpp"
 #include "core/handshake.hpp"
+#include "net/ip.hpp"
+#include "pipeline/model_lifecycle.hpp"
 #include "pipeline/sharded_pipeline.hpp"
 #include "synth/dataset.hpp"
 #include "telemetry/telemetry.hpp"
@@ -250,6 +256,69 @@ TEST_F(ShardedPipelineTest, SnapshotIsSafeFromAnyThreadWhileDispatching) {
   EXPECT_EQ(quiescent, sharded.stats());
   EXPECT_EQ(quiescent.packets_total, packets.size());
   EXPECT_EQ(quiescent.packets_stranded, 0u);
+}
+
+// Span sampling reads the high half of the flow hash and shard routing its
+// low bits. When they shared the low residue, a span_sample_n that is a
+// multiple of the shard count traced shard 0 only.
+TEST_F(ShardedPipelineTest, SampledFlowsSpanEveryShard) {
+  // 4,096 one-SYN flows from sequential clients: cheap flows, one span
+  // chain each.
+  std::vector<net::Packet> packets;
+  for (std::uint32_t i = 0; i < 4096; ++i)
+    packets.push_back(campus::make_flood_syn(i, i, 1));
+  for (const std::uint64_t sample_n : {8u, 64u}) {
+    ShardedPipelineOptions options;
+    options.n_shards = 8;
+    options.obs.span_sample_n = sample_n;
+    ShardedPipeline sharded(bank_, options);
+    sharded.set_sink([](telemetry::SessionRecord) {});
+    for (const auto& packet : packets) sharded.on_packet(packet);
+    sharded.flush_all();
+    std::set<int> worker_slots;
+    std::size_t queue_spans = 0;
+    for (const obs::Span& span : sharded.observability().recent_spans(0))
+      if (span.kind == obs::SpanKind::Queue) {
+        worker_slots.insert(span.slot);
+        ++queue_spans;
+      }
+    EXPECT_EQ(worker_slots.size(), 8u) << "span_sample_n=" << sample_n;
+    // One Queue span per sampled flow, about one flow in sample_n.
+    EXPECT_GT(queue_spans, packets.size() / sample_n / 2)
+        << "span_sample_n=" << sample_n;
+    EXPECT_LT(queue_spans, packets.size() / sample_n * 2)
+        << "span_sample_n=" << sample_n;
+  }
+}
+
+// Canary routing reads the high half of the flow hash too, so each of 8
+// shards routes its stated share to the canary. With the shard residue
+// (`hash % 1000`, of which `hash % 8` is a function) shards 0-1 took 5.6%
+// and the others 4.8%. Tolerance: 0.5 percentage points, about five
+// standard deviations at 50k flows per shard.
+TEST(CanaryRouting, EveryShardRoutesItsShareToA5PercentCanary) {
+  ModelLifecycle::Generation generation;
+  generation.canary = std::make_shared<const ClassifierBank>();
+  generation.canary_permille = 50;
+  constexpr std::uint64_t kShards = 8;
+  constexpr std::uint32_t kFlows = 400'000;
+  std::array<std::uint64_t, kShards> flows{}, canary{};
+  const net::IpAddr server = net::IpAddr::v4(142, 250, 70, 78);
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    const net::FlowKey key = net::FlowKey::canonical(
+        net::IpAddr::v4_from_u32(0x0a000000u | i >> 2),
+        static_cast<std::uint16_t>(40000 + i % 4), server, 443,
+        net::kProtoTcp);
+    const std::uint64_t hash = net::FlowKeyHash{}(key);
+    const std::uint64_t shard = hash % kShards;  // ShardedPipeline routing
+    ++flows[shard];
+    if (generation.routes_to_canary(hash)) ++canary[shard];
+  }
+  for (std::uint64_t shard = 0; shard < kShards; ++shard) {
+    const double share =
+        static_cast<double>(canary[shard]) / static_cast<double>(flows[shard]);
+    EXPECT_NEAR(share, 0.05, 0.005) << "shard " << shard;
+  }
 }
 
 }  // namespace
