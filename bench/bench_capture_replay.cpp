@@ -112,10 +112,6 @@ void run_window(Lane& lane) {
                       window.seconds / 1e9);
 }
 
-/// Threads a sharded replay keeps busy: its workers and the dispatcher
-/// that replays the capture into them.
-int busy_threads(int shards) { return shards + 1; }
-
 /// Median and quartiles (linear interpolation) of a sample.
 struct Spread {
   double median = 0, p25 = 0, p75 = 0;
@@ -192,8 +188,8 @@ void write_json(std::uint64_t frames, std::uint64_t image_bytes,
   json.precision(6);
   json << "{\n"
        << "  \"bench\": \"capture_replay\",\n";
-  // The widest shard-matrix row: 8 workers plus the dispatcher.
-  bench::write_machine_block(json, busy_threads(8));
+  // The widest shard-matrix row.
+  bench::write_machine_block(json, 8);
   json << "  \"methodology\": \"lanes interleaved per window; a window is "
           "whole passes adding up to >= "
        << kWindowSeconds << " s of timed work; rates are the median and "
@@ -232,8 +228,7 @@ void write_json(std::uint64_t frames, std::uint64_t image_bytes,
          << ", \"batch_size\": " << lane.batch_size << ", ";
     row(lane);
     json << ", \"speedup_vs_1\": " << speedup << ", \"scaling_valid\": "
-         << (bench::usable_cores() >= busy_threads(lane.shards) ? "true"
-                                                                 : "false")
+         << (bench::scaling_valid(lane.shards) ? "true" : "false")
          << "}"
          << (i + 1 < lanes.size() ? "," : "") << "\n";
   }
@@ -313,8 +308,7 @@ void report() {
          TextTable::num(mpps.median, 3),
          TextTable::num(mpps.p25, 3) + "-" + TextTable::num(mpps.p75, 3),
          TextTable::num(spread_of(lanes[i].gbps).median, 2),
-         bench::usable_cores() >= busy_threads(lanes[i].shards) ? "yes"
-                                                                : "no"});
+         bench::scaling_valid(lanes[i].shards) ? "yes" : "no"});
   }
   shard_table.print(std::cout);
   std::cout << "usable cores: " << bench::usable_cores() << " of "

@@ -5,8 +5,9 @@
 // latency profiling (TSC tick reads, obs/clock.hpp), sampled flow tracing
 // (causal spans + lifecycle instants), and the embedded scrape server under
 // a live scraper — measured as end-to-end throughput deltas on the 8-shard
-// front-end. The file records the usable cores: with fewer than 8 shards'
-// worth (scaling_valid false) the workers time-slice.
+// front-end. The file records the usable cores: with fewer than a core for
+// each of the 8 workers and the dispatcher (scaling_valid false) the
+// threads time-slice.
 // Acceptance targets: exporter / trace / http lanes within 3% of the
 // bare-registry baseline, profiling within 5%. Lanes are interleaved
 // per-repetition (repeat r of every lane before repeat r+1 of any — the

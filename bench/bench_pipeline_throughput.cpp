@@ -145,9 +145,7 @@ struct ShardResult {
   double packets_per_sec = 0;
   double flows_per_sec = 0;
   double speedup_vs_1 = 0;
-  /// False when the run had fewer usable cores than shards: the "scaling"
-  /// then measures time-slicing, not parallelism, and must not be read as
-  /// a regression (or an improvement) across machines.
+  /// bench::scaling_valid: a core for every worker and the dispatcher.
   bool scaling_valid = true;
 };
 
@@ -156,7 +154,7 @@ ShardResult run_sharded_once(const std::vector<net::Packet>& packets,
   ShardResult out;
   out.shards = shards;
   out.batch_size = batch_size;
-  out.scaling_valid = bench::usable_cores() >= shards;
+  out.scaling_valid = bench::scaling_valid(shards);
   const auto start = std::chrono::steady_clock::now();
   pipeline::ShardedPipeline pipe(&bench::campus_bank(),
                                  {.n_shards = shards,
@@ -697,9 +695,10 @@ void report() {
   shard_table.print(std::cout);
   std::cout << "hardware threads: " << std::thread::hardware_concurrency()
             << ", effective affinity: " << bench::effective_affinity()
-            << " (rows with valid=no ran more shards than usable cores:\n"
-               "they measure time-slicing, not parallel speedup; per-flow\n"
-               "ordering is preserved per shard by FlowKey-hash dispatch)\n";
+            << " (rows with valid=no ran more shards plus dispatcher than\n"
+               "usable cores: they measure time-slicing, not parallel\n"
+               "speedup; per-flow ordering is preserved per shard by\n"
+               "FlowKey-hash dispatch)\n";
 
   const std::vector<StageLatencyResult> stage_latency = {
       run_stage_latency(packets, 1),

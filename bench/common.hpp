@@ -110,15 +110,21 @@ inline int usable_cores() {
   return std::min(hw > 0 ? hw : 1, effective_affinity());
 }
 
+/// Whether a sharded run had a core for every thread it keeps busy: its
+/// `shards` workers plus the dispatcher that feeds them. False: the run
+/// measured time-slicing, not parallel speedup, and must not be read as a
+/// regression (or an improvement) across machines.
+inline bool scaling_valid(int shards) { return usable_cores() >= shards + 1; }
+
 /// The machine block of a BENCH_*.json file: hardware threads, the cores
-/// this process may use, and whether a run that keeps `busy_threads`
-/// threads busy had a core for each (false: it measured time-slicing).
-inline void write_machine_block(std::ostream& json, int busy_threads) {
+/// this process may use, and scaling_valid for the file's widest run of
+/// `shards` shards.
+inline void write_machine_block(std::ostream& json, int shards) {
   json << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
        << "  \"usable_cores\": " << usable_cores() << ",\n"
-       << "  \"scaling_valid\": "
-       << (usable_cores() >= busy_threads ? "true" : "false") << ",\n";
+       << "  \"scaling_valid\": " << (scaling_valid(shards) ? "true" : "false")
+       << ",\n";
 }
 
 }  // namespace vpscope::bench

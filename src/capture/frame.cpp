@@ -4,20 +4,22 @@ namespace vpscope::capture {
 
 std::optional<ByteView> ip_datagram_of(ByteView frame, LinkType link_type) {
   if (link_type == LinkType::Raw) return frame;
-  // Untagged IPv4/IPv6, the frame a tap delivers almost always: read the
-  // EtherType in place. Everything else takes the full parse below.
-  if (frame.size() >= net::EthernetHeader::kSize) {
-    const auto type = static_cast<std::uint16_t>(frame[12] << 8 | frame[13]);
+  // Walk the EtherType and up to kMaxVlanTags tags in place, with the
+  // bounds and tag limit of net::EthernetHeader::parse, but without
+  // copying the MACs into a header nobody reads.
+  std::size_t off = 12;
+  for (int tags = 0;; ++tags) {
+    if (off + 2 > frame.size()) return std::nullopt;
+    const auto type =
+        static_cast<std::uint16_t>(frame[off] << 8 | frame[off + 1]);
+    off += 2;
     if (type == net::kEtherTypeIpv4 || type == net::kEtherTypeIpv6)
-      return frame.subspan(net::EthernetHeader::kSize);
+      return frame.subspan(off);
+    if ((type != net::kEtherTypeVlan && type != net::kEtherTypeQinQ) ||
+        tags == net::EthernetHeader::kMaxVlanTags)
+      return std::nullopt;
+    off += 2;  // the tag's TCI; the next EtherType follows
   }
-  std::size_t l2_len = 0;
-  const auto eth = net::EthernetHeader::parse(frame, &l2_len);
-  if (!eth) return std::nullopt;
-  if (eth->ethertype != net::kEtherTypeIpv4 &&
-      eth->ethertype != net::kEtherTypeIpv6)
-    return std::nullopt;
-  return frame.subspan(l2_len);
 }
 
 Bytes ethernet_frame_of(ByteView ip_datagram) {

@@ -28,6 +28,17 @@ std::uint64_t be_word(const IpAddr& addr, int i) {
   return w;
 }
 
+/// Word `i` of the address as a little-endian number: a plain load on a
+/// little-endian host and a byte swap on a big-endian one, so FlowKeyHash
+/// (and with it shard placement, sampling and canary routes) gives the
+/// same value on every host.
+std::uint64_t le_word(const IpAddr& addr, int i) {
+  const std::uint64_t w = addr.words()[static_cast<std::size_t>(i)];
+  if constexpr (std::endian::native == std::endian::big)
+    return __builtin_bswap64(w);
+  return w;
+}
+
 }  // namespace
 
 FlowKey FlowKey::canonical(const IpAddr& src, std::uint16_t sport,
@@ -61,17 +72,17 @@ std::size_t FlowKeyHash::operator()(const FlowKey& k) const {
   // per word, so keys that differ in one word differ here too. The
   // products are independent of each other, so they issue in parallel;
   // rotations place them apart before the XOR, and one SplitMix64 round
-  // finishes the mix. The address words stay in native order, since only
-  // FlowKey::canonical needs byte order.
-  const auto a = k.addr_a.words();
-  const auto b = k.addr_b.words();
+  // finishes the mix. The address words are read little-endian, so the
+  // values are the same on every host; only FlowKey::canonical needs them
+  // in byte order.
   const std::uint64_t ports = std::uint64_t{k.protocol} << 32 |
                               std::uint64_t{k.port_a} << 16 | k.port_b;
-  const std::uint64_t h = a[0] * 0x9e3779b185ebca87ULL ^
-                          std::rotl(a[1] * 0xc2b2ae3d27d4eb4fULL, 21) ^
-                          std::rotl(b[0] * 0x165667b19e3779f9ULL, 42) ^
-                          std::rotl(b[1] * 0x85ebca77c2b2ae63ULL, 11) ^
-                          std::rotl(ports * 0x27d4eb2f165667c5ULL, 32);
+  const std::uint64_t h =
+      le_word(k.addr_a, 0) * 0x9e3779b185ebca87ULL ^
+      std::rotl(le_word(k.addr_a, 1) * 0xc2b2ae3d27d4eb4fULL, 21) ^
+      std::rotl(le_word(k.addr_b, 0) * 0x165667b19e3779f9ULL, 42) ^
+      std::rotl(le_word(k.addr_b, 1) * 0x85ebca77c2b2ae63ULL, 11) ^
+      std::rotl(ports * 0x27d4eb2f165667c5ULL, 32);
   return static_cast<std::size_t>(splitmix64(h));
 }
 

@@ -75,9 +75,9 @@ class Counter {
   }
   /// One atomic read-modify-write: exact when several threads write the
   /// slot. Only for a counter whose writers are not ordered.
-  void add_contended(int slot, std::uint64_t n = 1,
-                     std::memory_order order = std::memory_order_relaxed) {
-    cells_[static_cast<std::size_t>(slot)].v.fetch_add(n, order);
+  void add_contended(int slot) {
+    cells_[static_cast<std::size_t>(slot)].v.fetch_add(
+        1, std::memory_order_relaxed);
   }
   std::uint64_t value(int slot,
                       std::memory_order order =

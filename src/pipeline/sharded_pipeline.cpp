@@ -206,8 +206,7 @@ void ShardedPipeline::check_dispatcher_thread() {
   if (dispatcher_thread_hash_.load(std::memory_order_acquire) != self) {
     // Written from the violating (non-dispatcher) thread, so several
     // threads may write this slot: the one contended add in the registry.
-    obs_->dispatcher_contract_violations.add_contended(
-        obs_->dispatcher_slot());
+    obs_->dispatcher_contract_violations.add_contended(obs_->dispatcher_slot());
 #if !(defined(VPSCOPE_FAULT_INJECTION) && VPSCOPE_FAULT_INJECTION)
     assert(false &&
            "ShardedPipeline: on_packet/flush/stats/active_flows are "

@@ -1,7 +1,7 @@
-// Framing oracle: capture::ip_datagram_of against a reference that runs
-// net::EthernetHeader::parse on every frame, the way ip_datagram_of did
-// before it read an untagged frame's EtherType in place. Both must return
-// the same datagram view (same pointer, same size) or both reject. Inputs:
+// Framing oracle: capture::ip_datagram_of, which walks the EtherType and
+// any VLAN tags in place, against a reference that runs
+// net::EthernetHeader::parse on every frame. Both must return the same
+// datagram view (same pointer, same size) or both reject. Inputs:
 // untagged IPv4 and IPv6, 802.1Q, QinQ and three stacked tags, ARP and
 // LLDP, every truncation from 0 to 22 bytes, and 100k random mutants each
 // of a tagged and an untagged frame. Each input is its own exact-size
@@ -103,7 +103,7 @@ Bytes with_ethertype(Bytes frame, std::uint16_t type) {
   return frame;
 }
 
-TEST(FrameOracle, UntaggedIpv4AndIpv6TakeTheInPlacePath) {
+TEST(FrameOracle, UntaggedIpv4AndIpv6Agree) {
   for (const Bytes& datagram : {ipv4_datagram(), ipv6_datagram()}) {
     const Bytes frame = ethernet_frame_of(datagram);
     EXPECT_TRUE(expect_agrees(frame));
@@ -121,7 +121,7 @@ TEST(FrameOracle, UntaggedIpv4AndIpv6TakeTheInPlacePath) {
   EXPECT_TRUE(expect_agrees(bare));
 }
 
-TEST(FrameOracle, VlanTagsTakeTheFullParse) {
+TEST(FrameOracle, VlanAndQinQTagsAgree) {
   const Bytes v4 = ethernet_frame_of(ipv4_datagram());
   const Bytes v6 = ethernet_frame_of(ipv6_datagram());
   for (const Bytes& untagged : {v4, v6}) {
@@ -176,7 +176,7 @@ TEST(FrameOracle, EveryTruncationFrom0To22BytesAgrees) {
     }
   }
   // Untagged IP frames are accepted from 14 bytes on, tagged ones once the
-  // inner EtherType is in; neither path accepts anything shorter.
+  // inner EtherType is in; nothing shorter is accepted.
   EXPECT_GT(accepted, 0);
   for (std::size_t len = 0; len < net::EthernetHeader::kSize; ++len) {
     const Bytes cut(v4.begin(), v4.begin() + static_cast<std::ptrdiff_t>(len));

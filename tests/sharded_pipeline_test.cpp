@@ -241,6 +241,12 @@ TEST_F(ShardedPipelineTest, SnapshotIsSafeFromAnyThreadWhileDispatching) {
         snapshots_taken.fetch_add(1, std::memory_order_relaxed);
       }
     });
+  // Dispatch only once the readers are snapshotting: the whole mix
+  // dispatches in a few ms, and on a loaded machine a new thread can wait
+  // that long for a core, so both readers could otherwise see `done`
+  // before their first snapshot.
+  while (snapshots_taken.load(std::memory_order_relaxed) < 2)
+    std::this_thread::yield();
 
   for (const auto& packet : packets) sharded.on_packet(packet);
   sharded.flush_all();
